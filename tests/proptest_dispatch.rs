@@ -1,12 +1,14 @@
 //! Property tests for the flattened dispatch path: for arbitrary call
 //! histories the compiled flat table must resolve every `(site, callee)`
 //! pair exactly like the logical hash-map patch table, across re-encoding
-//! generation bumps. The exhaustive cross-check itself lives in the
-//! engine (`check_invariants` walks every patched site against every
-//! graph node plus an unknown-callee probe); these tests drive the state
-//! into as many shapes as possible and invoke it mid-run, so transient
-//! disagreement between a patch mutation and its dispatch sync cannot
-//! hide behind a final-state-only check.
+//! generation bumps. The cross-check itself lives in the engine:
+//! `check_invariants` resolves every patched site against the union of
+//! its logical and compiled target sets plus an unknown-callee probe,
+//! which covers every callee because both resolvers trap outside their
+//! own target set. These tests drive the state into as many shapes as
+//! possible and invoke it mid-run, so transient disagreement between a
+//! patch mutation and its dispatch sync cannot hide behind a
+//! final-state-only check.
 
 use proptest::prelude::*;
 
