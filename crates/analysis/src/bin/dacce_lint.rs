@@ -34,9 +34,12 @@
 //! proves every seam without serial fallbacks; export files are then
 //! optional.
 //! With `--list-rules`, prints the full rule catalogue (id, severity,
-//! enabling flag, invariant) and exits. Exits non-zero if any file fails
-//! to parse or any finding — error **or** warning severity — is reported
-//! (see `dacce_analyze::lint::exit_code`).
+//! enabling flag, invariant) and exits. Exits 1 if any file fails to
+//! parse or any finding — error **or** warning severity — is reported
+//! (see `dacce_analyze::lint::exit_code`). Malformed input of any kind is
+//! such a failure: the parsers report it with a line number and never
+//! panic, so exit code 101 (a Rust panic) always means a bug in the
+//! tool, not in its input. Usage errors exit 2.
 
 use std::process::ExitCode;
 

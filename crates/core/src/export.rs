@@ -37,16 +37,25 @@
 //!
 //! [`export_state`] dumps an engine's dictionaries and site-owner table;
 //! [`export_samples`] appends contexts; [`import`] parses everything back
-//! into an [`OfflineDecoder`] that can decode without the engine.
+//! into an [`OfflineDecoder`] that can decode without the engine. The
+//! header, line and field rules (and the `sample` context grammar, shared
+//! with `dacce-journal v1`) live in the crate's line-record codec: any
+//! input imports or fails with a line-numbered [`ImportError`], never a
+//! panic. A `dict` line's `ts` must equal the number of dictionaries
+//! before it.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use dacce_callgraph::{CallSiteId, DecodeDict, DictStore, Dispatch, FunctionId, TimeStamp};
+use dacce_callgraph::encode::Encoding;
+use dacce_callgraph::{
+    CallGraph, CallSiteId, DecodeDict, DictStore, Dispatch, FunctionId, TimeStamp,
+};
 use dacce_program::ContextPath;
 
-use crate::ccstack::CcEntry;
-use crate::context::{EncodedContext, SpawnLink};
+pub use crate::codec::ImportError;
+use crate::codec::{parse_ctx, records, write_ctx, Fields};
+use crate::context::EncodedContext;
 use crate::decode::{decode_full, DecodeError};
 use crate::dispatch::CompiledDispatch;
 use crate::engine::DacceEngine;
@@ -57,27 +66,6 @@ use crate::superop::WindowOp;
 /// Header line of the export format.
 pub const HEADER: &str = "dacce-export v1";
 
-/// Errors from [`import`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ImportError {
-    /// The header line is missing or has the wrong version.
-    BadHeader,
-    /// A line could not be parsed; carries the 1-based line number and a
-    /// description.
-    BadLine(usize, String),
-}
-
-impl std::fmt::Display for ImportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ImportError::BadHeader => write!(f, "missing or unsupported export header"),
-            ImportError::BadLine(n, what) => write!(f, "line {n}: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ImportError {}
-
 fn dispatch_tag(d: Dispatch) -> &'static str {
     match d {
         Dispatch::Direct => "direct",
@@ -87,32 +75,12 @@ fn dispatch_tag(d: Dispatch) -> &'static str {
     }
 }
 
-fn parse_dispatch(s: &str) -> Option<Dispatch> {
-    Some(match s {
-        "direct" => Dispatch::Direct,
-        "indirect" => Dispatch::Indirect,
-        "plt" => Dispatch::Plt,
-        "spawn" => Dispatch::Spawn,
-        _ => return None,
-    })
-}
-
 fn action_tag(a: EdgeAction) -> String {
     match a {
         EdgeAction::Encoded { delta } => format!("enc:{delta}"),
         EdgeAction::Unencoded => "cc".into(),
         EdgeAction::UnencodedCompressed => "ccc".into(),
     }
-}
-
-fn parse_action(s: &str) -> Option<EdgeAction> {
-    Some(match s {
-        "cc" => EdgeAction::Unencoded,
-        "ccc" => EdgeAction::UnencodedCompressed,
-        _ => EdgeAction::Encoded {
-            delta: s.strip_prefix("enc:")?.parse().ok()?,
-        },
-    })
 }
 
 /// Serialises the engine's decode dictionaries and site owners.
@@ -141,7 +109,9 @@ pub(crate) fn export_shared(
         let ts = TimeStamp::new(ts_idx as u32);
         let dict = shared.dicts.get(ts).expect("indexed in range");
         let _ = writeln!(out, "dict {} {}", ts.raw(), dict.max_id());
-        // Nodes: emit numCC for every function the dictionary knows.
+        // Nodes: numCC for every function the dictionary's edges touch,
+        // then the isolated ones (e.g. `main` before any edge) in graph
+        // order.
         let mut nodes: Vec<FunctionId> = dict
             .edges()
             .iter()
@@ -149,26 +119,14 @@ pub(crate) fn export_shared(
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
-        for f in nodes {
-            if let Some(cc) = dict.num_cc(f) {
+        let isolated = shared
+            .graph
+            .nodes()
+            .iter()
+            .filter(|f| nodes.binary_search(f).is_err());
+        for f in nodes.iter().chain(isolated) {
+            if let Some(cc) = dict.num_cc(*f) {
                 let _ = writeln!(out, "node {} {}", f.raw(), cc);
-            }
-        }
-        // Also cover isolated nodes (e.g. `main` before any edge).
-        for f in shared.graph.nodes() {
-            if dict.num_cc(*f).is_some() && dict.incoming(*f).next().is_none() {
-                let known = dict
-                    .edges()
-                    .iter()
-                    .any(|e| e.caller == *f || e.callee == *f);
-                if !known {
-                    let _ = writeln!(
-                        out,
-                        "node {} {}",
-                        f.raw(),
-                        dict.num_cc(*f).expect("checked")
-                    );
-                }
             }
         }
         for e in dict.edges() {
@@ -268,31 +226,6 @@ pub(crate) fn export_shared(
         }
     }
     out
-}
-
-pub(crate) fn write_ctx(out: &mut String, ctx: &EncodedContext) {
-    let _ = write!(
-        out,
-        "{} {} {} {}",
-        ctx.ts.raw(),
-        ctx.id,
-        ctx.leaf.raw(),
-        ctx.root.raw()
-    );
-    for e in &ctx.cc {
-        let _ = write!(
-            out,
-            " {}:{}:{}:{}",
-            e.id,
-            e.site.raw(),
-            e.target.raw(),
-            e.count
-        );
-    }
-    if let Some(link) = &ctx.spawn {
-        let _ = write!(out, " | {} ", link.site.raw());
-        write_ctx(out, &link.parent);
-    }
 }
 
 /// Serialises collected contexts, one `sample` line each.
@@ -403,239 +336,98 @@ impl OfflineDecoder {
     }
 }
 
-pub(crate) fn parse_ctx(
-    tokens: &mut std::iter::Peekable<std::str::SplitWhitespace<'_>>,
-    lineno: usize,
-) -> Result<EncodedContext, ImportError> {
-    let mut next_num = |what: &str| -> Result<u64, ImportError> {
-        tokens
-            .next()
-            .ok_or_else(|| ImportError::BadLine(lineno, format!("missing {what}")))?
-            .parse::<u64>()
-            .map_err(|_| ImportError::BadLine(lineno, format!("bad {what}")))
-    };
-    let ts = TimeStamp::new(next_num("ts")? as u32);
-    let id = next_num("id")?;
-    let leaf = FunctionId::new(next_num("leaf")? as u32);
-    let root = FunctionId::new(next_num("root")? as u32);
-    let mut cc = Vec::new();
-    let mut spawn = None;
-    while let Some(&tok) = tokens.peek() {
-        if tok == "|" {
-            tokens.next();
-            let site = CallSiteId::new(
-                tokens
-                    .next()
-                    .ok_or_else(|| ImportError::BadLine(lineno, "missing spawn site".into()))?
-                    .parse::<u32>()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad spawn site".into()))?,
-            );
-            let parent = parse_ctx(tokens, lineno)?;
-            spawn = Some(SpawnLink {
-                site,
-                parent: Box::new(parent),
-            });
-            break;
-        }
-        let tok = tokens.next().expect("peeked");
-        let parts: Vec<&str> = tok.split(':').collect();
-        if parts.len() != 4 {
-            return Err(ImportError::BadLine(lineno, format!("bad cc entry {tok}")));
-        }
-        let nums: Result<Vec<u64>, _> = parts.iter().map(|p| p.parse::<u64>()).collect();
-        let nums = nums.map_err(|_| ImportError::BadLine(lineno, format!("bad cc entry {tok}")))?;
-        cc.push(CcEntry {
-            id: nums[0],
-            site: CallSiteId::new(nums[1] as u32),
-            target: FunctionId::new(nums[2] as u32),
-            count: nums[3],
-        });
-    }
-    Ok(EncodedContext {
-        ts,
-        id,
-        leaf,
-        root,
-        cc,
-        spawn,
-    })
-}
-
 /// Parses an export (state and/or samples, in any order after the header).
 ///
 /// # Errors
 ///
 /// Returns [`ImportError`] on malformed input.
 pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, h)) if h.trim() == HEADER => {}
-        _ => return Err(ImportError::BadHeader),
-    }
-
     let mut out = OfflineDecoder::default();
-    // Dictionary assembly state: timestamp, maxID, graph, numCC table, and
-    // the edge encodings in insertion order.
-    type DictState = (
-        TimeStamp,
-        u64,
-        dacce_callgraph::CallGraph,
-        HashMap<FunctionId, u128>,
-        Vec<u64>,
-    );
-    let mut current: Option<DictState> = None;
-
-    for (idx, raw) in lines {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace().peekable();
-        let kind = tokens.next().expect("non-empty line");
-        match kind {
-            "dict" => {
-                let ts: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad dict ts".into()))?;
-                let max_id: u64 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad dict maxID".into()))?;
-                current = Some((
-                    TimeStamp::new(ts),
-                    max_id,
-                    dacce_callgraph::CallGraph::new(),
-                    HashMap::new(),
-                    Vec::new(),
-                ));
-            }
-            "node" => {
-                let (_, _, graph, num_cc, _) = current
-                    .as_mut()
-                    .ok_or_else(|| ImportError::BadLine(lineno, "node outside dict".into()))?;
-                let f: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad node".into()))?;
-                let cc: u128 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad numCC".into()))?;
-                graph.ensure_node(FunctionId::new(f));
-                num_cc.insert(FunctionId::new(f), cc);
-            }
-            "edge" => {
-                let (_, _, graph, _, encodings) = current
-                    .as_mut()
-                    .ok_or_else(|| ImportError::BadLine(lineno, "edge outside dict".into()))?;
-                let nums: Vec<&str> = tokens.by_ref().collect();
-                if nums.len() != 6 {
-                    return Err(ImportError::BadLine(lineno, "edge needs 6 fields".into()));
+    // The dictionary being assembled between `dict` and `enddict`.
+    let mut open: Option<(TimeStamp, CallGraph, Encoding)> = None;
+    for (n, line) in records(text, HEADER)? {
+        let mut f = Fields::new(n, line);
+        match (f.word("record")?, open.as_mut()) {
+            ("dict", _) => {
+                let ts: u32 = f.num("dict ts")?;
+                if ts as usize != out.dicts.len() {
+                    return Err(f.err(format!("dict ts {ts} out of order")));
                 }
-                let caller: u32 = nums[0]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad caller".into()))?;
-                let callee: u32 = nums[1]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad callee".into()))?;
-                let site: u32 = nums[2]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad site".into()))?;
-                let _encoding: u64 = nums[3]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad encoding".into()))?;
-                let back = nums[4] == "1";
-                let dispatch = parse_dispatch(nums[5])
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad dispatch".into()))?;
-                let (eid, _) = graph.add_edge(
-                    FunctionId::new(caller),
-                    FunctionId::new(callee),
-                    CallSiteId::new(site),
-                    dispatch,
-                );
-                graph.edge_mut(eid).back = back;
-                encodings.push(_encoding);
-            }
-            "enddict" => {
-                let (ts, max_id, graph, num_cc, encodings) = current
-                    .take()
-                    .ok_or_else(|| ImportError::BadLine(lineno, "enddict without dict".into()))?;
-                let mut enc = dacce_callgraph::encode::Encoding {
+                let max_id = f.num("dict maxID")?;
+                let enc = Encoding {
                     max_id,
-                    overflow: false,
-                    num_cc,
-                    edge_encoding: HashMap::new(),
+                    ..Encoding::default()
                 };
-                for (i, (eid, e)) in graph.edges().enumerate() {
-                    if !e.back {
-                        enc.edge_encoding.insert(eid, u128::from(encodings[i]));
-                    }
-                }
-                let dict = DecodeDict::from_encoding(&graph, &enc, ts)
-                    .map_err(|e| ImportError::BadLine(lineno, e.to_string()))?;
-                out.dicts.push(dict);
+                open = Some((TimeStamp::new(ts), CallGraph::new(), enc));
             }
-            "owner" => {
-                let site: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad owner site".into()))?;
-                let func: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad owner func".into()))?;
+            ("node", Some((_, graph, enc))) => {
+                let func = FunctionId::new(f.num("node")?);
+                graph.ensure_node(func);
+                enc.num_cc.insert(func, f.num("numCC")?);
+            }
+            ("edge", Some((_, graph, enc))) => {
+                let caller = FunctionId::new(f.num("caller")?);
+                let callee = FunctionId::new(f.num("callee")?);
+                let site = CallSiteId::new(f.num("site")?);
+                let encoding: u64 = f.num("encoding")?;
+                let back = f.flag("back")?;
+                let dispatch = match f.word("dispatch")? {
+                    "direct" => Dispatch::Direct,
+                    "indirect" => Dispatch::Indirect,
+                    "plt" => Dispatch::Plt,
+                    "spawn" => Dispatch::Spawn,
+                    other => return Err(f.err(format!("bad dispatch {other:?}"))),
+                };
+                let (eid, new) = graph.add_edge(caller, callee, site, dispatch);
+                if !new {
+                    return Err(f.err("duplicate edge"));
+                }
+                graph.edge_mut(eid).back = back;
+                if !back {
+                    enc.edge_encoding.insert(eid, encoding.into());
+                }
+            }
+            ("enddict", Some((ts, graph, enc))) => {
+                let dict = DecodeDict::from_encoding(graph, enc, *ts);
+                out.dicts.push(dict.map_err(|e| f.err(e.to_string()))?);
+                open = None;
+            }
+            (kind @ ("node" | "edge" | "enddict"), None) => {
+                return Err(f.err(format!("{kind} outside dict")));
+            }
+            ("owner", _) => {
+                let site = CallSiteId::new(f.num("owner site")?);
                 out.owners
-                    .insert(CallSiteId::new(site), FunctionId::new(func));
+                    .insert(site, FunctionId::new(f.num("owner func")?));
             }
-            "dispatch" => {
-                let fields: Vec<&str> = tokens.by_ref().collect();
-                if fields.len() != 6 {
-                    return Err(ImportError::BadLine(
-                        lineno,
-                        "dispatch needs 6 fields".into(),
-                    ));
-                }
-                let site: u32 = fields[0]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad dispatch site".into()))?;
-                let slot: u32 = fields[1]
-                    .parse()
-                    .map_err(|_| ImportError::BadLine(lineno, "bad dispatch slot".into()))?;
-                let kind = match fields[2] {
+            ("dispatch", _) => {
+                let site = CallSiteId::new(f.num("dispatch site")?);
+                let slot = f.num("dispatch slot")?;
+                let kind = match f.word("dispatch kind")? {
                     "trap" => DispatchKind::Trap,
                     "mono" => DispatchKind::Mono,
                     "poly" => DispatchKind::Poly,
-                    other => {
-                        return Err(ImportError::BadLine(
-                            lineno,
-                            format!("bad dispatch kind {other}"),
-                        ))
-                    }
+                    other => return Err(f.err(format!("bad dispatch kind {other:?}"))),
                 };
-                let target = match fields[3] {
+                let target = f.opt("dispatch target")?.map(FunctionId::new);
+                let action = match f.word("dispatch action")? {
                     "-" => None,
-                    t => Some(FunctionId::new(t.parse().map_err(|_| {
-                        ImportError::BadLine(lineno, "bad dispatch target".into())
-                    })?)),
-                };
-                let action = match fields[4] {
-                    "-" => None,
-                    a => Some(parse_action(a).ok_or_else(|| {
-                        ImportError::BadLine(lineno, format!("bad dispatch action {a}"))
-                    })?),
+                    "cc" => Some(EdgeAction::Unencoded),
+                    "ccc" => Some(EdgeAction::UnencodedCompressed),
+                    a => match a.strip_prefix("enc:") {
+                        Some(delta) => Some(EdgeAction::Encoded {
+                            delta: f.parse(delta, "dispatch delta")?,
+                        }),
+                        None => return Err(f.err(format!("bad dispatch action {a:?}"))),
+                    },
                 };
                 let want_payload = kind != DispatchKind::Trap;
                 if target.is_some() != want_payload || action.is_some() != want_payload {
-                    return Err(ImportError::BadLine(
-                        lineno,
-                        "dispatch target/action must be '-' iff kind is trap".into(),
-                    ));
+                    return Err(f.err("dispatch target/action must be '-' iff kind is trap"));
                 }
-                let tc_wrap = fields[5] == "1";
+                let tc_wrap = f.flag("dispatch tcwrap")?;
                 out.dispatch.push(DispatchRecord {
-                    site: CallSiteId::new(site),
+                    site,
                     slot,
                     kind,
                     target,
@@ -643,92 +435,51 @@ pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
                     tc_wrap,
                 });
             }
-            "superop" => {
-                let mut next_num = |what: &str| -> Result<u64, ImportError> {
-                    tokens
-                        .next()
-                        .ok_or_else(|| ImportError::BadLine(lineno, format!("missing {what}")))?
-                        .parse::<u64>()
-                        .map_err(|_| ImportError::BadLine(lineno, format!("bad {what}")))
+            ("superop", _) => {
+                let mut rec = SuperOpRecord {
+                    calls: f.num("superop calls")?,
+                    cc_ops: f.num("superop ccops")?,
+                    compress_hits: f.num("superop compresshits")?,
+                    cc_peak: f.num("superop ccpeak")?,
+                    window: Vec::new(),
                 };
-                let calls = next_num("superop calls")?;
-                let cc_ops = next_num("superop ccops")?;
-                let compress_hits = next_num("superop compresshits")?;
-                let cc_peak = next_num("superop ccpeak")? as usize;
-                let mut window = Vec::new();
-                for tok in tokens.by_ref() {
-                    if tok == "r" {
-                        window.push(WindowOp::Ret);
-                        continue;
-                    }
-                    let rest = tok.strip_prefix("c:").ok_or_else(|| {
-                        ImportError::BadLine(lineno, format!("bad superop token {tok}"))
-                    })?;
-                    let (site, target) = rest.split_once(':').ok_or_else(|| {
-                        ImportError::BadLine(lineno, format!("bad superop token {tok}"))
-                    })?;
-                    let site: u32 = site.parse().map_err(|_| {
-                        ImportError::BadLine(lineno, format!("bad superop site {tok}"))
-                    })?;
-                    let target: u32 = target.parse().map_err(|_| {
-                        ImportError::BadLine(lineno, format!("bad superop target {tok}"))
-                    })?;
-                    window.push(WindowOp::Call {
-                        site: CallSiteId::new(site),
-                        target: FunctionId::new(target),
+                for tok in f.by_ref() {
+                    let mut c = Fields::split(n, tok, ':');
+                    rec.window.push(match c.word("superop op")? {
+                        "r" => WindowOp::Ret,
+                        "c" => WindowOp::Call {
+                            site: CallSiteId::new(c.num("superop site")?),
+                            target: FunctionId::new(c.num("superop target")?),
+                        },
+                        _ => return Err(c.err(format!("bad superop token {tok:?}"))),
                     });
+                    c.end()?;
                 }
-                if window.is_empty() {
-                    return Err(ImportError::BadLine(
-                        lineno,
-                        "superop needs a window".into(),
-                    ));
+                if rec.window.is_empty() {
+                    return Err(f.err("superop needs a window"));
                 }
-                out.superops.push(SuperOpRecord {
-                    window,
-                    calls,
-                    cc_ops,
-                    compress_hits,
-                    cc_peak,
-                });
+                out.superops.push(rec);
             }
-            "degraded" => {
-                let fields: Vec<&str> = tokens.by_ref().collect();
-                if fields.len() != 8 {
-                    return Err(ImportError::BadLine(
-                        lineno,
-                        "degraded needs 8 fields".into(),
-                    ));
+            ("degraded", _) => {
+                let d = &mut out.degraded;
+                d.active = f.flag("degraded active")?;
+                for counter in [
+                    &mut d.degraded_traps,
+                    &mut d.reencode_retries,
+                    &mut d.cc_spill_events,
+                    &mut d.cc_spilled_peak,
+                    &mut d.lock_poisonings,
+                    &mut d.slot_failures,
+                    &mut d.batch_errors,
+                ] {
+                    *counter = f.num("degraded counter")?;
                 }
-                let nums: Result<Vec<u64>, _> = fields.iter().map(|t| t.parse::<u64>()).collect();
-                let nums =
-                    nums.map_err(|_| ImportError::BadLine(lineno, "bad degraded counter".into()))?;
-                out.degraded.active = nums[0] != 0;
-                out.degraded.degraded_traps = nums[1];
-                out.degraded.reencode_retries = nums[2];
-                out.degraded.cc_spill_events = nums[3];
-                out.degraded.cc_spilled_peak = nums[4];
-                out.degraded.lock_poisonings = nums[5];
-                out.degraded.slot_failures = nums[6];
-                out.degraded.batch_errors = nums[7];
             }
-            "degradednode" => {
-                let n: u32 = tokens
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| ImportError::BadLine(lineno, "bad degraded node".into()))?;
-                out.degraded.note_trap_node(n);
-            }
-            "sample" => {
-                out.samples.push(parse_ctx(&mut tokens, lineno)?);
-            }
-            other => {
-                return Err(ImportError::BadLine(
-                    lineno,
-                    format!("unknown record {other}"),
-                ));
-            }
+            ("degradednode", _) => out.degraded.note_trap_node(f.num("degraded node")?),
+            ("sample", _) => out.samples.push(parse_ctx(&mut f)?),
+            (other, _) => return Err(f.err(format!("unknown record {other}"))),
         }
+        f.end()?;
     }
     Ok(out)
 }
@@ -736,6 +487,7 @@ pub fn import(text: &str) -> Result<OfflineDecoder, ImportError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::MAX_SPAWN_DEPTH;
     use crate::config::DacceConfig;
     use dacce_program::runtime::CallDispatch;
     use dacce_program::{CostModel, ThreadId};
@@ -1040,11 +792,39 @@ mod tests {
         } else {
             panic!("unexpected {err:?}");
         }
+        // A timestamp past u32 is an error, not a silent wrap to 0.
+        let text = format!("{HEADER}\n\nsample 4294967296 0 0 0\n");
+        let err = import(&text).unwrap_err();
+        assert!(
+            matches!(&err, ImportError::BadLine(3, what) if what.contains("ts")),
+            "{err:?}"
+        );
+        // Spawn chains nest up to the cap and no deeper.
+        let deep =
+            |links: usize| format!("{HEADER}\nsample 0 0 0 0{}\n", " | 0 0 0 0 0".repeat(links));
+        assert_eq!(
+            import(&deep(MAX_SPAWN_DEPTH))
+                .expect("at the cap")
+                .samples()
+                .len(),
+            1
+        );
+        assert!(matches!(
+            import(&deep(MAX_SPAWN_DEPTH + 1)),
+            Err(ImportError::BadLine(2, _))
+        ));
     }
 
     #[test]
     fn import_rejects_records_outside_dict() {
         let text = format!("{HEADER}\nnode 1 1\n");
+        assert!(matches!(
+            import(&text).unwrap_err(),
+            ImportError::BadLine(2, _)
+        ));
+        // A first dictionary stamped 3 would break the store's
+        // timestamp == position invariant.
+        let text = format!("{HEADER}\ndict 3 0\nnode 0 1\nenddict\n");
         assert!(matches!(
             import(&text).unwrap_err(),
             ImportError::BadLine(2, _)

@@ -32,8 +32,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dacce_callgraph::{CallSiteId, FunctionId, TimeStamp};
 
 use crate::ccstack::CcEntry;
+use crate::codec::{at_end, parse_ctx, records, write_ctx, Fields, ImportError};
 use crate::context::EncodedContext;
-use crate::export::{parse_ctx, write_ctx, ImportError, OfflineDecoder};
+use crate::export::OfflineDecoder;
+
+/// Header line of the journal format.
+const JOURNAL_HEADER: &str = "dacce-journal v1";
 
 /// The effect one before-call instrumentation execution had on the
 /// thread's encoding state.
@@ -441,7 +445,7 @@ impl DecodeJournal {
     /// Serialises the journal as `dacce-journal v1` text.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut out = String::from("dacce-journal v1\n");
+        let mut out = format!("{JOURNAL_HEADER}\n");
         for t in &self.threads {
             let _ = write!(out, "thread {} ", t.tid);
             write_ctx(&mut out, &t.entry);
@@ -452,44 +456,33 @@ impl DecodeJournal {
                 out.push('\n');
             }
             for op in &t.ops {
-                match op {
+                let _ = match op {
                     JournalOp::Call {
                         site,
                         target,
                         effect,
                     } => {
-                        let _ = write!(out, "op c {} {} ", site.raw(), target.raw());
-                        match effect {
-                            CallEffect::Arith { delta } => {
-                                let _ = write!(out, "a{delta}");
-                            }
-                            CallEffect::Push { id } => {
-                                let _ = write!(out, "p{id}");
-                            }
-                            CallEffect::Compress { id } => {
-                                let _ = write!(out, "k{id}");
-                            }
-                        }
-                        out.push('\n');
+                        let (tag, v) = match *effect {
+                            CallEffect::Arith { delta } => ('a', delta),
+                            CallEffect::Push { id } => ('p', id),
+                            CallEffect::Compress { id } => ('k', id),
+                        };
+                        writeln!(out, "op c {} {} {tag}{v}", site.raw(), target.raw())
                     }
-                    JournalOp::Ret { caller, effect } => {
-                        let _ = write!(out, "op r {} ", caller.raw());
-                        match effect {
-                            RetEffect::Arith { delta } => {
-                                let _ = write!(out, "a{delta}");
-                            }
-                            RetEffect::Pop => out.push('o'),
-                            RetEffect::Uncompress => out.push('u'),
+                    JournalOp::Ret { caller, effect } => match effect {
+                        RetEffect::Arith { delta } => {
+                            writeln!(out, "op r {} a{delta}", caller.raw())
                         }
-                        out.push('\n');
-                    }
-                    JournalOp::Sample => out.push_str("op s\n"),
+                        RetEffect::Pop => writeln!(out, "op r {} o", caller.raw()),
+                        RetEffect::Uncompress => writeln!(out, "op r {} u", caller.raw()),
+                    },
+                    JournalOp::Sample => writeln!(out, "op s"),
                     JournalOp::Resync(ctx) => {
                         out.push_str("op g ");
                         write_ctx(&mut out, ctx);
-                        out.push('\n');
+                        writeln!(out)
                     }
-                }
+                };
             }
             out.push_str("end\n");
         }
@@ -502,124 +495,96 @@ impl DecodeJournal {
     ///
     /// Returns [`ImportError`] on malformed input.
     pub fn parse(text: &str) -> Result<DecodeJournal, ImportError> {
-        let mut lines = text.lines().enumerate();
-        let bad = |n: usize, msg: &str| ImportError::BadLine(n + 1, msg.to_string());
-        match lines.next() {
-            Some((_, "dacce-journal v1")) => {}
-            _ => return Err(bad(0, "missing dacce-journal v1 header")),
-        }
         let mut journal = DecodeJournal::default();
         let mut cur: Option<JournalThread> = None;
-        for (n, line) in lines {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            let mut tokens = line.split_whitespace().peekable();
-            let kw = tokens.next().expect("non-empty line");
-            match kw {
-                "thread" => {
-                    if cur.is_some() {
-                        return Err(bad(n, "thread inside open thread section"));
-                    }
-                    let tid = tokens
-                        .next()
-                        .and_then(|t| t.parse::<u64>().ok())
-                        .ok_or_else(|| bad(n, "bad thread id"))?;
-                    let entry = parse_ctx(&mut tokens, n + 1)?;
+        for (n, line) in records(text, JOURNAL_HEADER)? {
+            let mut f = Fields::new(n, line);
+            match (f.word("journal record")?, cur.as_mut()) {
+                ("thread", None) => {
                     cur = Some(JournalThread {
-                        tid,
-                        entry,
+                        tid: f.num("thread id")?,
+                        entry: parse_ctx(&mut f)?,
                         ops: Vec::new(),
                         seams: Vec::new(),
                     });
                 }
-                "seam" => {
-                    let t = cur.as_mut().ok_or_else(|| bad(n, "seam outside thread"))?;
-                    let at = tokens
-                        .next()
-                        .and_then(|x| x.parse::<usize>().ok())
-                        .ok_or_else(|| bad(n, "bad seam index"))?;
-                    let ctx = parse_ctx(&mut tokens, n + 1)?;
+                ("thread", Some(_)) => return Err(f.err("thread inside open thread section")),
+                ("seam", Some(t)) => {
+                    let at = f.num("seam index")?;
+                    let ctx = parse_ctx(&mut f)?;
                     if t.seams.last().is_some_and(|s| s.at >= at) || at == 0 {
-                        return Err(bad(n, "seam indices must be strictly increasing"));
+                        return Err(f.err("seam indices must be strictly increasing"));
                     }
                     t.seams.push(SeamSeed { at, ctx });
                 }
-                "op" => {
-                    let t = cur.as_mut().ok_or_else(|| bad(n, "op outside thread"))?;
-                    let kind = tokens.next().ok_or_else(|| bad(n, "missing op kind"))?;
-                    match kind {
-                        "c" => {
-                            let site = tokens
-                                .next()
-                                .and_then(|x| x.parse::<u32>().ok())
-                                .map(CallSiteId::new)
-                                .ok_or_else(|| bad(n, "bad call site"))?;
-                            let target = tokens
-                                .next()
-                                .and_then(|x| x.parse::<u32>().ok())
-                                .map(FunctionId::new)
-                                .ok_or_else(|| bad(n, "bad call target"))?;
-                            let eff = tokens.next().ok_or_else(|| bad(n, "missing effect"))?;
-                            let num = |s: &str| s[1..].parse::<u64>().ok();
-                            let effect = match (eff.as_bytes().first(), num(eff)) {
-                                (Some(b'a'), Some(delta)) => CallEffect::Arith { delta },
-                                (Some(b'p'), Some(id)) => CallEffect::Push { id },
-                                (Some(b'k'), Some(id)) => CallEffect::Compress { id },
-                                _ => return Err(bad(n, "bad call effect")),
-                            };
-                            t.ops.push(JournalOp::Call {
-                                site,
-                                target,
-                                effect,
-                            });
-                        }
-                        "r" => {
-                            let caller = tokens
-                                .next()
-                                .and_then(|x| x.parse::<u32>().ok())
-                                .map(FunctionId::new)
-                                .ok_or_else(|| bad(n, "bad ret caller"))?;
-                            let eff = tokens.next().ok_or_else(|| bad(n, "missing effect"))?;
-                            let effect = match eff.as_bytes().first() {
-                                Some(b'a') => RetEffect::Arith {
-                                    delta: eff[1..]
-                                        .parse::<u64>()
-                                        .map_err(|_| bad(n, "bad ret delta"))?,
-                                },
-                                Some(b'o') => RetEffect::Pop,
-                                Some(b'u') => RetEffect::Uncompress,
-                                _ => return Err(bad(n, "bad ret effect")),
-                            };
-                            t.ops.push(JournalOp::Ret { caller, effect });
-                        }
-                        "s" => t.ops.push(JournalOp::Sample),
-                        "g" => {
-                            let ctx = parse_ctx(&mut tokens, n + 1)?;
-                            t.ops.push(JournalOp::Resync(ctx));
-                        }
-                        _ => return Err(bad(n, "unknown op kind")),
-                    }
-                }
-                "end" => {
-                    let t = cur.take().ok_or_else(|| bad(n, "end outside thread"))?;
+                ("op", Some(t)) => t.ops.push(parse_op(&mut f)?),
+                ("end", Some(t)) => {
                     if t.seams.last().is_some_and(|s| s.at > t.ops.len()) {
-                        return Err(bad(n, "seam index past end of ops"));
+                        return Err(f.err("seam index past end of ops"));
                     }
-                    journal.threads.push(t);
+                    journal.threads.extend(cur.take());
                 }
-                _ => return Err(bad(n, "unknown journal line")),
+                (kw @ ("seam" | "op" | "end"), None) => {
+                    return Err(f.err(format!("{kw} outside thread")))
+                }
+                (other, _) => return Err(f.err(format!("unknown journal line {other:?}"))),
             }
+            f.end()?;
         }
         if cur.is_some() {
-            return Err(ImportError::BadLine(
-                0,
-                "unterminated thread section".into(),
-            ));
+            return Err(at_end(text, "unterminated thread section"));
         }
         Ok(journal)
     }
+}
+
+/// An effect token `<tag><value>`, split after its first char (never at
+/// a byte offset).
+fn effect<'a>(f: &mut Fields<'a>) -> Result<(char, &'a str), ImportError> {
+    let mut chars = f.word("effect")?.chars();
+    Ok((chars.next().unwrap_or_default(), chars.as_str()))
+}
+
+/// Parses the fields of an `op` line after the keyword.
+fn parse_op(f: &mut Fields<'_>) -> Result<JournalOp, ImportError> {
+    Ok(match f.word("op kind")? {
+        "c" => {
+            let site = CallSiteId::new(f.num("call site")?);
+            let target = FunctionId::new(f.num("call target")?);
+            let effect = match effect(f)? {
+                ('a', v) => CallEffect::Arith {
+                    delta: f.parse(v, "call delta")?,
+                },
+                ('p', v) => CallEffect::Push {
+                    id: f.parse(v, "push id")?,
+                },
+                ('k', v) => CallEffect::Compress {
+                    id: f.parse(v, "compress id")?,
+                },
+                _ => return Err(f.err("bad call effect")),
+            };
+            JournalOp::Call {
+                site,
+                target,
+                effect,
+            }
+        }
+        "r" => {
+            let caller = FunctionId::new(f.num("ret caller")?);
+            let effect = match effect(f)? {
+                ('a', v) => RetEffect::Arith {
+                    delta: f.parse(v, "ret delta")?,
+                },
+                ('o', "") => RetEffect::Pop,
+                ('u', "") => RetEffect::Uncompress,
+                _ => return Err(f.err("bad ret effect")),
+            };
+            JournalOp::Ret { caller, effect }
+        }
+        "s" => JournalOp::Sample,
+        "g" => JournalOp::Resync(parse_ctx(f)?),
+        other => return Err(f.err(format!("unknown op kind {other:?}"))),
+    })
 }
 
 /// The decoded context stream of a journal: one line per decode point, in
@@ -1032,6 +997,26 @@ mod tests {
         assert!(
             DecodeJournal::parse("dacce-journal v1\nthread 0 0 0 0 0\nseam 0 0 0 0 0\nend\n")
                 .is_err()
+        );
+        // Multi-byte effect tokens are errors, not panics.
+        for eff in ["op c 1 2 é", "op c 1 2 aé", "op r 1 é", "op r 1 aé"] {
+            let text = format!("dacce-journal v1\nthread 0 0 0 0 0\n{eff}\nend\n");
+            assert!(
+                matches!(DecodeJournal::parse(&text), Err(ImportError::BadLine(3, _))),
+                "{eff}"
+            );
+        }
+        // Out-of-range ids do not wrap.
+        assert!(
+            DecodeJournal::parse("dacce-journal v1\nthread 0 4294967296 0 0 0\nend\n").is_err()
+        );
+        // An unterminated section points past the last line, not at line 0.
+        assert_eq!(
+            DecodeJournal::parse("dacce-journal v1\nthread 0 0 0 0 0\nop s\n"),
+            Err(ImportError::BadLine(
+                4,
+                "unterminated thread section".into()
+            ))
         );
     }
 

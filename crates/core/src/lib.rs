@@ -41,6 +41,7 @@
 //! ```
 
 pub mod ccstack;
+pub(crate) mod codec;
 pub mod config;
 pub mod context;
 pub mod decode;
@@ -53,6 +54,8 @@ pub mod fragment;
 pub mod lineage;
 pub mod observe;
 pub mod patch;
+#[cfg(feature = "obs")]
+pub mod postmortem;
 pub mod profile;
 pub mod reencode;
 pub mod runtime;
