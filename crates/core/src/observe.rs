@@ -12,8 +12,10 @@
 //!   entirely (the ISSUE's "compile-out via feature").
 //!
 //! The hook methods take plain integers rather than `dacce-obs` types so
-//! the call sites in `shared.rs` / `engine.rs` / `tracker.rs` are
-//! identical under both configurations — no `cfg` at any call site.
+//! the call sites in `shared.rs` (traps, re-encodes, warm starts),
+//! `fastpath.rs` (the executor's ccStack, migration and sample hooks) and
+//! `tracker.rs` (inline-cache, superop and poisoning metrics) are identical
+//! under both configurations — no `cfg` at any call site.
 
 #[cfg(feature = "obs")]
 mod imp {
@@ -27,8 +29,8 @@ mod imp {
     use crate::postmortem::Postmortem;
     use crate::stats::DegradedState;
 
-    /// The per-thread deterministic sampler (re-exported so engine and
-    /// tracker instantiate it without `cfg` at the call site).
+    /// The per-thread deterministic sampler (re-exported so the executor
+    /// instantiates it without `cfg` at the call site).
     pub(crate) use dacce_obs::profiler::fingerprint64;
     pub(crate) use dacce_obs::Sampler;
 
@@ -291,8 +293,9 @@ mod imp {
         }
     }
 
-    /// A per-producer journal writer. One per engine (single-threaded) or
-    /// per tracker thread slot; the shared slow path has its own.
+    /// A per-producer journal writer: one per tracker thread slot, plus
+    /// the shared slow path's, which the single-threaded engine's threads
+    /// also journal through.
     #[derive(Debug)]
     pub(crate) struct ObsWriter {
         writer: JournalWriter,

@@ -1,37 +1,32 @@
-//! Adaptive re-encoding (§4 of the paper) — engine orchestration.
+//! Adaptive re-encoding (§4 of the paper) — the engine's policy.
 //!
 //! Re-encoding is triggered when (1) enough new call edges accumulated,
 //! (2) the frequently invoked call paths changed, or (3) the `ccStack` is
 //! accessed too frequently. The trigger evaluation and the graph-side core
 //! (heat derivation, back-edge re-classification, encoding, dictionary
 //! freeze under an incremented `gTimeStamp`, site re-patching) live in
-//! [`crate::shared::SharedState`]; this module adds the *thread-state*
-//! half on top for the engine, which owns every context: decode each live
-//! thread under the old dictionary, run the shared core, then replay each
-//! decoded path under the new patches so the state looks as if the new
+//! [`crate::shared::SharedState`]. The engine owns every thread, so after
+//! an applied re-encoding (or a lineage adoption) it runs the executor's
+//! migrate step on each of them at once: decode under the old dictionary,
+//! replay under the new patches, so the state looks as if the new
 //! instrumentation had been in place from the start (the paper rewrites
 //! return addresses on the machine stacks — see `DESIGN.md`). The
-//! concurrent [`crate::Tracker`] runs the same shared core but regenerates
-//! thread states lazily, each thread migrating itself at its next epoch
-//! check.
+//! concurrent [`crate::Tracker`] runs the same step lazily, each thread
+//! migrating itself at its next epoch check.
 
-use dacce_program::{ContextPath, ThreadId};
+use std::sync::Arc;
 
-use crate::decode::decode_thread;
+use dacce_callgraph::DecodeDict;
+
 use crate::engine::DacceEngine;
-use crate::fastpath;
-use crate::shared::{LineageReencode, ReencodeOutcome};
 
 impl DacceEngine {
     /// Checks the three §4 triggers and re-encodes when one fires. Returns
     /// the cost charged (0 when nothing happened).
     pub(crate) fn maybe_reencode(&mut self) -> u64 {
-        if !self.shared.reencode_check_due() {
-            return 0;
-        }
-        let (shared, threads) = (&mut self.shared, &self.threads);
-        let live = || threads.values().map(|c| c.cc.ops()).sum::<u64>();
-        if shared.should_reencode(&live) {
+        let threads = &self.threads;
+        let live = || threads.values().map(|e| e.ctx.cc.ops()).sum::<u64>();
+        if self.shared.should_reencode(&live) {
             self.reencode()
         } else {
             0
@@ -45,23 +40,14 @@ impl DacceEngine {
     /// adopted instead of re-encoding locally, and a locally applied
     /// re-encode is published for every other attached tenant.
     pub(crate) fn reencode(&mut self) -> u64 {
-        // Decode every live thread's state under the *old* dictionary
-        // before anything changes.
-        let decoded = self.decode_live_threads();
-        let old_ts = self.shared.ts.raw();
-        let (applied, cost) = match self.shared.reencode_via_lineage() {
-            LineageReencode::Adopted => (true, 0),
-            LineageReencode::Local(ReencodeOutcome::Applied, cost) => (true, cost),
-            LineageReencode::Local(ReencodeOutcome::Overflowed, cost) => (false, cost),
-        };
-
-        if applied {
-            self.replay_live_threads(decoded, old_ts);
+        let old = self.current_dict();
+        let outcome = self.shared.reencode_via_lineage();
+        if outcome.applied() {
+            self.migrate_threads(&old);
         }
-
-        let live = self.live_thread_ccops();
+        let live = self.threads.values().map(|e| e.ctx.cc.ops()).sum();
         self.shared.reset_triggers(live);
-        cost
+        outcome.cost()
     }
 
     /// Adopts a newer generation published into this engine's shared
@@ -75,61 +61,29 @@ impl DacceEngine {
         if !stale {
             return false;
         }
-        let decoded = self.decode_live_threads();
-        let old_ts = self.shared.ts.raw();
+        let old = self.current_dict();
         if !self.shared.adopt_pending_lineage() {
             return false;
         }
-        self.replay_live_threads(decoded, old_ts);
+        self.migrate_threads(&old);
         true
     }
 
-    /// Decodes every live thread's state under the current (pre-change)
-    /// dictionary, in deterministic thread order.
-    fn decode_live_threads(&mut self) -> Vec<(ThreadId, ContextPath)> {
-        let old_dict = self
-            .shared
+    /// The dictionary of the current generation — the one every live
+    /// thread is encoded under.
+    fn current_dict(&self) -> Arc<DecodeDict> {
+        let ts = self.shared.ts;
+        self.shared
             .dicts
-            .get_arc(self.shared.ts)
-            .expect("current dictionary recorded");
-        let mut decoded: Vec<(ThreadId, ContextPath)> = Vec::new();
-        let tids: Vec<ThreadId> = {
-            let mut v: Vec<ThreadId> = self.threads.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        for tid in tids {
-            let ctx = &self.threads[&tid];
-            match decode_thread(
-                &old_dict,
-                ctx.id,
-                ctx.current,
-                ctx.root,
-                ctx.cc.entries(),
-                &self.shared.site_owner,
-            ) {
-                Ok(path) => decoded.push((tid, path)),
-                Err(_) => {
-                    // Engine bug; keep the stale state and surface it.
-                    self.shared.stats.decode_errors += 1;
-                }
-            }
-        }
-        decoded
+            .get_arc(ts)
+            .expect("current dictionary recorded")
     }
 
-    /// Regenerates every thread's id/ccStack/shadow under the new
-    /// encodings after an applied re-encode or a lineage adoption.
-    fn replay_live_threads(&mut self, decoded: Vec<(ThreadId, ContextPath)>, old_ts: u32) {
-        let new_ts = self.shared.ts.raw();
-        for (tid, path) in decoded {
-            if let Some(ctx) = self.threads.get_mut(&tid) {
-                fastpath::replay(&self.shared, ctx, &path);
-                self.shared.obs.on_migration();
-                if self.shared.obs_writer.enabled() {
-                    self.shared.obs_writer.migration(tid.raw(), old_ts, new_ts);
-                }
-            }
+    /// Migrates every live thread from `old` to the current generation, in
+    /// thread order.
+    fn migrate_threads(&mut self, old: &DecodeDict) {
+        for exec in self.threads.values_mut() {
+            exec.migrate(&self.shared, &self.shared.obs_writer, old);
         }
     }
 }

@@ -72,6 +72,25 @@ pub(crate) enum LineageReencode {
     Local(ReencodeOutcome, u64),
 }
 
+impl LineageReencode {
+    /// Whether a new generation is in place (applied or adopted), so thread
+    /// states must be migrated.
+    pub(crate) fn applied(&self) -> bool {
+        matches!(
+            self,
+            LineageReencode::Adopted | LineageReencode::Local(ReencodeOutcome::Applied, _)
+        )
+    }
+
+    /// The cost units the request charged (adoption is free).
+    pub(crate) fn cost(&self) -> u64 {
+        match self {
+            LineageReencode::Adopted => 0,
+            LineageReencode::Local(_, cost) => *cost,
+        }
+    }
+}
+
 /// The shared (cross-thread) half of a DACCE instance.
 #[derive(Debug)]
 pub(crate) struct SharedState {
@@ -408,17 +427,9 @@ impl SharedState {
         }
     }
 
-    /// Records one sample: counters, heat ring, optional full log.
-    pub(crate) fn record_sample(&mut self, snap: &EncodedContext) {
-        self.stats.samples += 1;
-        self.stats.cc_depths.push(snap.cc_depth() as u32);
-        self.obs.on_sample(snap.cc_depth() as u32, snap.id);
-        self.push_ring(snap);
-    }
-
-    /// Feeds a sample into the heat ring (and the optional log) without
-    /// counting it — concurrent trackers count samples in per-thread shards
-    /// and flush their sample backlog here from the slow path.
+    /// Feeds a sample into the heat ring (and the optional log). Samples
+    /// are counted in per-thread shards; executors flush their sample
+    /// backlogs here (see [`crate::fastpath::ThreadExec::flush_pending`]).
     pub(crate) fn push_ring(&mut self, snap: &EncodedContext) {
         if self.config.sample_ring > 0 {
             if self.ring.len() < self.config.sample_ring {
@@ -433,19 +444,8 @@ impl SharedState {
         }
     }
 
-    /// Records one continuous-profiler sample: counters, metrics and the
-    /// profiler ring. Journal emission is the caller's job (the engine
-    /// emits under the shared writer; trackers emit on their own ring).
-    pub(crate) fn record_profiler_sample(&mut self, snap: &EncodedContext, weight: u64) {
-        self.stats.profiler_samples += 1;
-        self.stats.profiler_sample_weight += weight;
-        self.obs
-            .on_profiler_sample(snap.cc_depth() as u32, snap.id, weight);
-        self.push_profiler_ring(snap, weight);
-    }
-
-    /// Feeds a weighted sample into the profiler ring without counting it
-    /// (trackers count in per-thread shards and flush backlogs here).
+    /// Feeds a weighted sample into the profiler ring (counted in the
+    /// executor's shard, like [`Self::push_ring`]).
     pub(crate) fn push_profiler_ring(&mut self, snap: &EncodedContext, weight: u64) {
         if self.profiler_ring.len() < PROFILER_RING_CAP {
             self.profiler_ring.push((snap.clone(), weight));
@@ -676,10 +676,10 @@ impl SharedState {
     /// re-classifies back edges, re-encodes the grown graph, freezes a new
     /// dictionary under `gTimeStamp + 1` and regenerates every site patch.
     ///
-    /// Thread-state regeneration is the caller's job: decode live contexts
-    /// under the *old* dictionary before calling this, replay them under
-    /// the new patches afterwards (see [`crate::fastpath::replay`]), then
-    /// call [`SharedState::reset_triggers`].
+    /// Thread-state regeneration is the caller's job: keep the *old*
+    /// dictionary, migrate live contexts from it afterwards (see
+    /// [`crate::fastpath::ThreadExec::migrate`]), then call
+    /// [`SharedState::reset_triggers`].
     pub(crate) fn reencode_core(&mut self) -> (ReencodeOutcome, u64) {
         let cost = self.graph.edge_count() as u64 * self.cost.reencode_per_edge;
         self.stats.reencodes += 1;

@@ -5,18 +5,24 @@
 //! application declares its functions and call sites once, registers each
 //! thread, and brackets instrumented calls with RAII guards.
 //!
-//! Unlike the single-lock seed implementation, the tracker is built on the
-//! shared-state / per-thread split (see `DESIGN.md`, "Concurrency
-//! architecture"): every thread owns its encoding context in a
-//! [`ThreadHandle`] slot and executes call/return instrumentation over
-//! already-encoded edges against a cached, immutable [`EncodingSnapshot`] —
-//! no shared lock is touched on that path. The global [`SharedState`] lock
-//! is taken only when a call site traps (new edge), when a re-encoding is
-//! evaluated or applied, on thread registration, and when statistics are
-//! drained. Re-encoded state reaches the other threads lazily: each one
-//! notices the bumped publication epoch at its next event, decodes its own
-//! context under its *old* snapshot's dictionary and replays it under the
-//! new one (the rendezvous of §4, done thread-locally).
+//! The tracker is built on the shared-state / per-thread split (see
+//! `DESIGN.md`, "Concurrency architecture"): every thread owns a
+//! `fastpath::ThreadExec` — the executor the single-threaded
+//! [`crate::DacceEngine`] runs too — in a [`ThreadHandle`] slot and runs
+//! call/return instrumentation over already-encoded edges against a
+//! cached, immutable [`EncodingSnapshot`]: no shared lock is touched on
+//! that path. What is tracker-specific is policy: the epoch-cached
+//! snapshot and the per-thread inline cache, superop windows and hoisted
+//! gates in [`ThreadHandle::run_batch`], trigger counters flushed every
+//! `EVENT_BATCH` events under a *tried* shared lock, and lazy migration.
+//! The global [`SharedState`] lock is taken only when a call site traps
+//! (new edge), when a re-encoding is evaluated or applied, on thread
+//! registration, and when statistics are drained. Every such section that
+//! acts on a thread's context first brings it to the shared generation.
+//! Re-encoded state reaches the other threads lazily: each one notices the
+//! bumped publication epoch at its next event, decodes its own context
+//! under its *old* snapshot's dictionary and replays it under the new one
+//! (the rendezvous of §4, done thread-locally).
 //!
 //! ```
 //! use dacce::tracker::Tracker;
@@ -44,19 +50,16 @@ use dacce_program::{ContextPath, CostModel, ThreadId};
 
 use crate::config::DacceConfig;
 use crate::context::{EncodedContext, SpawnLink};
-use crate::decode::{decode_thread, DecodeError};
+use crate::decode::DecodeError;
 use crate::dispatch::CompiledDispatch;
-use crate::fastpath;
+use crate::fastpath::{self, ThreadExec};
 use crate::lineage::EncodingLineage;
-use crate::observe::{ObsWriter, Observability, Sampler};
+use crate::observe::{ObsWriter, Observability};
 use crate::patch::EdgeAction;
 use crate::profile::HotContextProfile;
-use crate::shared::{
-    EncodingSnapshot, LineageReencode, ReencodeOutcome, ResolvedSite, SharedState,
-};
-use crate::stats::{DacceStats, StatsShard};
+use crate::shared::{EncodingSnapshot, ResolvedSite, SharedState};
+use crate::stats::DacceStats;
 use crate::superop::{SuperOpProbe, WindowOp};
-use crate::thread::ThreadCtx;
 use crate::verify::{check_shared, check_thread};
 use crate::warm::{WarmStartReport, WarmStartSeed};
 
@@ -64,45 +67,42 @@ use crate::warm::{WarmStartReport, WarmStartSeed};
 /// trigger counters. Bounds how stale the §4 event counts can be.
 const EVENT_BATCH: u64 = 64;
 
-/// Per-thread sample backlog capacity (circular; feeds the shared heat
-/// ring from the slow path).
-const SAMPLE_BACKLOG: usize = 64;
-
-/// The encoding state one thread owns: its context, the snapshot it is
-/// consistent with, and locally accumulated statistics.
+/// The state one thread owns: its executor, the snapshot the executor's
+/// context is consistent with, and the tracker's flush bookkeeping.
 #[derive(Debug)]
 struct ThreadState {
-    ctx: ThreadCtx,
-    /// The published snapshot this context's encoding matches. `ctx` always
-    /// decodes against `snap.ts`'s dictionary.
-    snap: Arc<EncodingSnapshot>,
-    /// Locally accumulated statistics, merged on [`Tracker::stats`].
-    shard: StatsShard,
-    /// Events not yet flushed to the shared trigger counters.
-    batch_events: u64,
-    /// `ctx.cc.ops()` value already published to `ccops_total`.
-    flushed_cc_ops: u64,
-    /// Inline-cache hit/miss totals already published to the obs metrics.
-    flushed_icache_hits: u64,
-    flushed_icache_misses: u64,
-    /// Superop hit/miss totals already published to the obs metrics.
-    flushed_superop_hits: u64,
-    flushed_superop_misses: u64,
-    /// `ctx.cc.spill_events()` value already folded into the shared
-    /// degraded-state counters.
-    flushed_spill_events: u64,
-    /// Recent samples awaiting a slow-path flush into the shared heat ring.
-    pending_samples: Vec<EncodedContext>,
-    pending_pos: usize,
-    /// This thread's continuous-profiler sampler (deterministic stride
-    /// with per-thread jitter phase; see [`crate::observe::Sampler`]).
-    sampler: Sampler,
-    /// Weighted profiler samples awaiting a slow-path flush into the
-    /// shared profiler ring (circular, like `pending_samples`).
-    pending_profiler: Vec<(EncodedContext, u64)>,
-    pending_profiler_pos: usize,
+    exec: ThreadExec,
     /// This thread's journal writer (its own event ring; lock-free).
     writer: ObsWriter,
+    /// The published snapshot `exec.ctx` is encoded under: the context
+    /// always decodes against `snap.ts`'s dictionary.
+    snap: Arc<EncodingSnapshot>,
+    /// Events not yet flushed to the shared trigger counters.
+    batch_events: u64,
+    /// Local totals already published (see [`ThreadHandle::publish_counters`]).
+    published: Published,
+}
+
+/// Per-thread totals already published to the shared counters.
+#[derive(Debug, Default)]
+struct Published {
+    /// `ctx.cc.ops()`, into `ccops_total`.
+    cc_ops: u64,
+    /// Inline-cache and superop (hits, misses), into the obs metrics.
+    icache: (u64, u64),
+    superops: (u64, u64),
+}
+
+/// A call opened through a guard or a batch, with the action resolved at
+/// call time and the publication epoch it is valid under — so the return
+/// side of an encoded edge is pure arithmetic, with no patch-table probe.
+#[derive(Clone, Copy, Debug)]
+struct OpenCall {
+    site: CallSiteId,
+    caller: FunctionId,
+    target: FunctionId,
+    action: EdgeAction,
+    epoch: u64,
 }
 
 /// One registered thread's slot. The mutex is per-thread: uncontended in
@@ -388,12 +388,7 @@ impl Tracker {
     pub fn request_reencode(&self) -> bool {
         let mut sh = self.inner.shared.lock();
         self.inner.absorb_pending(&mut sh);
-        let applied = match sh.reencode_via_lineage() {
-            LineageReencode::Adopted => true,
-            LineageReencode::Local(outcome, _cost) => {
-                matches!(outcome, ReencodeOutcome::Applied)
-            }
-        };
+        let applied = sh.reencode_via_lineage().applied();
         let live = self.inner.ccops_total.load(Ordering::Relaxed);
         sh.reset_triggers(live);
         self.inner.update_trigger_mark(&sh);
@@ -442,7 +437,7 @@ impl Tracker {
                 &st.snap.site_owner,
                 st.snap.max_id,
                 &slot.tid.to_string(),
-                &st.ctx,
+                &st.exec.ctx,
             )?;
         }
         let sh = self.inner.shared.lock();
@@ -465,7 +460,7 @@ impl Tracker {
     ) -> ThreadHandle {
         let link = SpawnLink {
             site: spawn_site,
-            parent: Box::new(parent.current_context()),
+            parent: Box::new(parent.context()),
         };
         self.register(root, Some(link))
     }
@@ -478,33 +473,14 @@ impl Tracker {
         }
         sh.register_root(root);
         let snap = self.inner.republish(&mut sh);
-        let mut ctx = ThreadCtx::new(root, spawn);
-        ctx.cc.set_spill_limit(sh.config.fault.cc_spill_limit);
         let slot = Arc::new(ThreadSlot {
             tid,
             state: Mutex::new(ThreadState {
-                ctx,
-                snap,
-                shard: StatsShard::default(),
-                batch_events: 0,
-                flushed_cc_ops: 0,
-                flushed_icache_hits: 0,
-                flushed_icache_misses: 0,
-                flushed_superop_hits: 0,
-                flushed_superop_misses: 0,
-                flushed_spill_events: 0,
-                pending_samples: Vec::new(),
-                pending_pos: 0,
-                // Per-thread seed: same stride, different jitter phase, so
-                // the fleet of threads never samples in lockstep.
-                sampler: Sampler::new(
-                    sh.config.profiler_stride,
-                    sh.config.profiler_seed ^ u64::from(tid.raw()),
-                    sh.config.profiler_budget,
-                ),
-                pending_profiler: Vec::new(),
-                pending_profiler_pos: 0,
+                exec: ThreadExec::new(tid, root, spawn, &sh),
                 writer: self.inner.obs.writer(tid.raw()),
+                snap,
+                batch_events: 0,
+                published: Published::default(),
             }),
         });
         self.inner.registry.lock().push(Arc::clone(&slot));
@@ -577,42 +553,15 @@ impl Tracker {
     /// Tracker statistics: the shared counters plus every thread's local
     /// shard and live ccStack/TcStack operation counts.
     pub fn stats(&self) -> DacceStats {
-        let slots: Vec<Arc<ThreadSlot>> = self.inner.registry.lock().clone();
         let mut out = {
             let mut sh = self.inner.shared.lock();
             self.inner.absorb_pending(&mut sh);
             sh.stats.clone()
         };
-        for slot in slots {
-            let mut guard = slot.state.lock();
-            let st = &mut *guard;
-            if !st.pending_samples.is_empty() || !st.pending_profiler.is_empty() {
-                let mut sh = self.inner.shared.lock();
-                for s in st.pending_samples.drain(..) {
-                    sh.push_ring(&s);
-                }
-                st.pending_pos = 0;
-                for (s, w) in st.pending_profiler.drain(..) {
-                    sh.push_profiler_ring(&s, w);
-                }
-                st.pending_profiler_pos = 0;
-            }
-            flush_icache_obs(&self.inner.obs, st);
-            flush_superop_obs(&self.inner.obs, st);
-            out.absorb_shard(&st.shard);
-            out.ccstack_ops += st.ctx.cc.ops();
-            out.tcstack_ops += st.ctx.tc_ops;
-            // Spill activity not yet flushed through a slow path.
-            out.degraded.cc_spill_events += st
-                .ctx
-                .cc
-                .spill_events()
-                .saturating_sub(st.flushed_spill_events);
-            out.degraded.cc_spilled_peak = out
-                .degraded
-                .cc_spilled_peak
-                .max(st.ctx.cc.spilled_peak() as u64);
-        }
+        self.drain_threads(|st| {
+            publish_obs(&self.inner.obs, st);
+            st.exec.fold_into(&mut out);
+        });
         out
     }
 
@@ -621,19 +570,22 @@ impl Tracker {
     /// profiler ring, which is then decoded through the versioned
     /// dictionaries. Empty when [`DacceConfig::profiler_stride`] is 0.
     pub fn profiler_profile(&self) -> HotContextProfile {
+        self.drain_threads(|_| {});
+        self.inner.shared.lock().profiler_profile()
+    }
+
+    /// Visits every registered thread at an event boundary, first draining
+    /// its sample backlogs into the shared rings.
+    fn drain_threads(&self, mut visit: impl FnMut(&mut ThreadState)) {
         let slots: Vec<Arc<ThreadSlot>> = self.inner.registry.lock().clone();
         for slot in slots {
             let mut guard = slot.state.lock();
             let st = &mut *guard;
-            if !st.pending_profiler.is_empty() {
-                let mut sh = self.inner.shared.lock();
-                for (s, w) in st.pending_profiler.drain(..) {
-                    sh.push_profiler_ring(&s, w);
-                }
-                st.pending_profiler_pos = 0;
+            if st.exec.has_pending() {
+                st.exec.flush_pending(&mut self.inner.shared.lock());
             }
+            visit(st);
         }
-        self.inner.shared.lock().profiler_profile()
     }
 
     /// The flight-recorder postmortem dump captured at the first
@@ -788,20 +740,15 @@ impl ThreadHandle {
         let mut obs_on = st.writer.enabled();
         // Profiler hoist: `ops.len()` bounds the batch's call count, so a
         // countdown beyond it proves no sample can fire in this batch —
-        // count calls in a register and advance the sampler once at the
-        // end instead of ticking it per op. A disabled sampler always
-        // takes the bulk path (the final skip is then a no-op).
-        let profiler_bulk = !st.sampler.is_enabled() || st.sampler.remaining() > ops.len() as u64;
-        let mut bulk_calls = 0u64;
-        // (site, caller, callee, action, epoch) of each still-open call.
-        let mut open: Vec<(CallSiteId, FunctionId, FunctionId, EdgeAction, u64)> =
-            Vec::with_capacity(16);
+        // skip the per-call ticks and advance the sampler once at the end.
+        // Superops need this: a memoized window runs no per-call step.
+        let sampler = &st.exec.sampler;
+        let quiet = !sampler.is_enabled() || sampler.remaining() > ops.len() as u64;
+        let mut use_superops = quiet && !st.snap.superops.is_empty();
+        let mut calls = 0u64;
+        let mut open: Vec<OpenCall> = Vec::with_capacity(16);
         let mut executed = 0usize;
         let mut error: Option<BatchErrorKind> = None;
-        // Superops need the bulk profiler path: a memoized window skips
-        // per-call sampler ticks, which is only sound when no sample can
-        // fire inside this batch anyway.
-        let mut use_superops = profiler_bulk && !st.snap.superops.is_empty();
         let mut i = 0usize;
         while i < ops.len() {
             let op = ops[i];
@@ -810,8 +757,8 @@ impl ThreadHandle {
                     if use_superops {
                         match st.snap.superops.probe(&ops[i..]) {
                             SuperOpProbe::Hit(so) => {
-                                let entry_depth = st.ctx.cc.depth();
-                                let peak = entry_depth + so.cc_peak;
+                                let cc = &st.exec.ctx.cc;
+                                let peak = cc.depth() + so.cc_peak;
                                 // Bail to the per-event loop BEFORE applying
                                 // anything when the fold would skip observable
                                 // bookkeeping: per-push journal events, an
@@ -820,102 +767,71 @@ impl ThreadHandle {
                                 // fire the real overflow hook).
                                 let admit = so.cc_ops == 0
                                     || !(obs_on
-                                        || st.ctx.cc.spill_armed()
-                                        || (peak > st.ctx.cc.max_depth()
+                                        || cc.spill_armed()
+                                        || (peak > cc.max_depth()
                                             && peak as u32 >= st.writer.watermark()));
                                 if admit {
                                     let len = so.window.len();
-                                    st.ctx.cc.apply_bulk(so.cc_ops, peak);
-                                    st.shard.calls += so.calls;
-                                    st.shard.compress_hits += so.compress_hits;
-                                    st.shard.superop_hits += 1;
-                                    st.shard.superop_events += len as u64;
+                                    st.exec.ctx.cc.apply_bulk(so.cc_ops, peak);
+                                    let shard = &mut st.exec.shard;
+                                    shard.calls += so.calls;
+                                    shard.compress_hits += so.compress_hits;
+                                    shard.superop_hits += 1;
+                                    shard.superop_events += len as u64;
                                     st.batch_events += len as u64;
-                                    bulk_calls += so.calls;
+                                    calls += so.calls;
                                     executed += len;
                                     i += len;
                                     continue;
                                 }
-                                st.shard.superop_misses += 1;
+                                st.exec.shard.superop_misses += 1;
                             }
-                            SuperOpProbe::Miss => st.shard.superop_misses += 1,
+                            SuperOpProbe::Miss => st.exec.shard.superop_misses += 1,
                             SuperOpProbe::Cold => {}
                         }
                     }
-                    let caller = st.ctx.current;
-                    let (action, epoch) = match resolve_cached(st, site, target) {
+                    let caller = st.exec.ctx.current;
+                    st.exec.shard.calls += 1;
+                    let action = match resolve_cached(st, site, target) {
                         Some(r) => {
-                            let epoch = st.snap.epoch;
-                            let prev_max = st.ctx.cc.max_depth();
-                            let eff = fastpath::exec_call(
-                                &*st.snap,
-                                &mut st.ctx,
-                                site,
-                                target,
-                                r.action,
-                                r.tc_wrap,
-                                false,
-                            );
-                            if eff.compress_hit {
-                                st.shard.compress_hits += 1;
-                            }
-                            st.shard.calls += 1;
-                            if r.action.uses_ccstack() {
-                                self.note_cc_push(st, prev_max, obs_on);
-                            }
+                            st.exec.call(&*st.snap, &st.writer, site, target, r, false);
                             st.batch_events += 1;
-                            (r.action, epoch)
+                            r.action
                         }
                         None => {
                             let dispatch = match op {
                                 BatchOp::CallIndirect { .. } => CallDispatch::Indirect,
                                 _ => CallDispatch::Direct,
                             };
-                            let prev_max = st.ctx.cc.max_depth();
                             let action = self.trap_call(st, site, caller, target, dispatch);
-                            if action.uses_ccstack() {
-                                self.note_cc_push(st, prev_max, obs_on);
-                            }
-                            // The trap republished the snapshot; re-hoist
-                            // the gates — journaling may have been toggled
-                            // and the superop table swapped (epoch
-                            // invalidation).
+                            // The trap republished: re-hoist the gates (the
+                            // journal toggled, the superop table swapped).
                             obs_on = st.writer.enabled();
-                            use_superops = profiler_bulk && !st.snap.superops.is_empty();
-                            (action, st.snap.epoch)
+                            use_superops = quiet && !st.snap.superops.is_empty();
+                            action
                         }
                     };
-                    if profiler_bulk {
-                        bulk_calls += 1;
-                    } else {
-                        self.profiler_tick(st, site);
+                    open.push(OpenCall {
+                        site,
+                        caller,
+                        target,
+                        action,
+                        epoch: st.snap.epoch,
+                    });
+                    if !quiet {
+                        st.exec.tick(st.snap.ts, site, &st.writer);
                     }
-                    open.push((site, caller, target, action, epoch));
+                    calls += 1;
                     executed += 1;
                 }
                 BatchOp::Ret => {
-                    let Some((site, caller, callee, action, epoch)) = open.pop() else {
+                    let Some(call) = open.pop() else {
                         // Malformed trace: stop before the bad op; any
                         // frames opened earlier unwind below.
                         error = Some(BatchErrorKind::UnmatchedRet { index: i });
                         break;
                     };
-                    let action = if st.snap.epoch == epoch {
-                        action
-                    } else {
-                        // A trap mid-batch republished (possibly after a
-                        // re-encoding that replayed our context); reverse
-                        // under the current generation's action.
-                        st.snap
-                            .resolve(site, callee)
-                            .map_or(EdgeAction::Unencoded, |r| r.action)
-                    };
-                    let _ = fastpath::exec_ret(&*st.snap, &mut st.ctx, site, caller, action);
-                    if obs_on && action.uses_ccstack() {
-                        st.writer
-                            .cc_pop(self.slot.tid.raw(), st.ctx.cc.depth() as u32);
-                    }
-                    st.batch_events += 1;
+                    ret_op(st, call);
                     executed += 1;
                 }
             }
@@ -925,34 +841,23 @@ impl ThreadHandle {
         // (malformed trace or early stop) so the thread's encoding lands
         // back at a consistent boundary instead of aborting the thread.
         let unclosed = open.len();
-        while let Some((site, caller, callee, action, epoch)) = open.pop() {
-            let action = if st.snap.epoch == epoch {
-                action
-            } else {
-                st.snap
-                    .resolve(site, callee)
-                    .map_or(EdgeAction::Unencoded, |r| r.action)
-            };
-            let _ = fastpath::exec_ret(&*st.snap, &mut st.ctx, site, caller, action);
-            if obs_on && action.uses_ccstack() {
-                st.writer
-                    .cc_pop(self.slot.tid.raw(), st.ctx.cc.depth() as u32);
-            }
-            st.batch_events += 1;
+        while let Some(call) = open.pop() {
+            ret_op(st, call);
         }
         if error.is_none() && unclosed > 0 {
             error = Some(BatchErrorKind::UnclosedCalls { open: unclosed });
         }
-        st.sampler.skip(bulk_calls);
+        if quiet {
+            st.exec.sampler.skip(calls);
+        }
         if st.batch_events >= EVENT_BATCH {
             self.flush_batch_counters(st);
         }
-        flush_icache_obs(&self.inner.obs, st);
-        flush_superop_obs(&self.inner.obs, st);
+        publish_obs(&self.inner.obs, st);
         match error {
             None => Ok(executed),
             Some(kind) => {
-                st.shard.batch_errors += 1;
+                st.exec.shard.batch_errors += 1;
                 Err(BatchError { kind, executed })
             }
         }
@@ -962,59 +867,36 @@ impl ThreadHandle {
         let mut guard = self.slot.state.lock();
         let st = &mut *guard;
         self.refresh(st);
-        let caller = st.ctx.current;
-        // The guard remembers the resolved action and the generation it is
-        // valid under, so the matching return needs no patch-table probe
-        // unless a re-encoding intervened. The epoch is captured *before*
-        // any trigger work — a re-encoding on this very event leaves the
-        // guard with a stale epoch, forcing the return to re-resolve.
-        let (action, epoch) = match resolve_cached(st, site, target) {
+        // The guard keeps the resolved action and the epoch it is valid
+        // under, captured *before* any trigger work: a re-encoding on this
+        // very event leaves a stale epoch that makes the return re-resolve.
+        let caller = st.exec.ctx.current;
+        st.exec.shard.calls += 1;
+        let action = match resolve_cached(st, site, target) {
             Some(r) => {
-                let epoch = st.snap.epoch;
-                let prev_max = st.ctx.cc.max_depth();
-                let eff = fastpath::exec_call(
-                    &*st.snap,
-                    &mut st.ctx,
-                    site,
-                    target,
-                    r.action,
-                    r.tc_wrap,
-                    false,
-                );
-                if eff.compress_hit {
-                    st.shard.compress_hits += 1;
-                }
-                st.shard.calls += 1;
-                if r.action.uses_ccstack() {
-                    self.note_cc_push(st, prev_max, st.writer.enabled());
-                }
-                self.note_local_event(st);
-                (r.action, epoch)
+                st.exec.call(&*st.snap, &st.writer, site, target, r, false);
+                st.batch_events += 1;
+                r.action
             }
-            None => {
-                // trap_call re-resolves under the state it republishes.
-                let prev_max = st.ctx.cc.max_depth();
-                let action = self.trap_call(st, site, caller, target, dispatch);
-                if action.uses_ccstack() {
-                    self.note_cc_push(st, prev_max, st.writer.enabled());
-                }
-                (action, st.snap.epoch)
-            }
+            None => self.trap_call(st, site, caller, target, dispatch),
         };
-        self.profiler_tick(st, site);
-        CallGuard {
-            handle: self,
+        let call = OpenCall {
             site,
             caller,
-            callee: target,
+            target,
             action,
-            epoch,
+            epoch: st.snap.epoch,
+        };
+        st.exec.tick(st.snap.ts, site, &st.writer);
+        if st.batch_events >= EVENT_BATCH {
+            self.flush_batch_counters(st);
         }
+        CallGuard { handle: self, call }
     }
 
     /// Revalidates the cached snapshot with one atomic epoch load; on a
     /// mismatch, fetches the published snapshot and — if the encoding
-    /// generation moved — migrates this thread's context to it (decode
+    /// generation moved — runs the executor's migrate step to it (decode
     /// under the old snapshot's dictionary, replay under the new patches).
     fn refresh(&self, st: &mut ThreadState) {
         let cur = self.inner.epoch.load(protocol::EPOCH_CHECK);
@@ -1023,83 +905,37 @@ impl ThreadHandle {
         }
         let new_snap = Arc::clone(&self.inner.published.lock());
         if new_snap.ts != st.snap.ts {
-            let migrated = fastpath::migrate(
-                &*new_snap,
-                &mut st.ctx,
-                st.snap.dict(),
-                &new_snap.site_owner,
-            );
-            if migrated.is_err() {
-                st.shard.decode_errors += 1;
-            }
-            self.inner.obs.on_migration();
-            if st.writer.enabled() {
-                st.writer
-                    .migration(self.slot.tid.raw(), st.snap.ts.raw(), new_snap.ts.raw());
-            }
+            st.exec.migrate(&*new_snap, &st.writer, st.snap.dict());
         }
         st.snap = new_snap;
     }
 
-    /// Continuous-profiler tick for one call event. When the sampler
-    /// fires, captures the thread's context, counts it in the local shard,
-    /// journals a `Sample` event on this thread's own lock-free ring and
-    /// buffers the weighted sample for the next slow-path flush into the
-    /// shared profiler ring — the fast path never touches the shared lock.
-    fn profiler_tick(&self, st: &mut ThreadState, site: CallSiteId) {
-        let Some(weight) = st.sampler.tick() else {
-            return;
-        };
-        let snap = snapshot_of(st);
-        st.shard.profiler_samples += 1;
-        st.shard.profiler_sample_weight += weight;
-        self.inner
-            .obs
-            .on_profiler_sample(snap.cc_depth() as u32, snap.id, weight);
-        if st.writer.enabled() {
-            let fp = crate::shared::context_fingerprint(&snap);
-            st.writer.sample(
-                self.slot.tid.raw(),
-                snap.ts.raw(),
-                snap.id,
-                site.raw(),
-                snap.leaf.raw(),
-                snap.root.raw(),
-                fp,
-                u32::try_from(weight).unwrap_or(u32::MAX),
-                snap.cc_depth() as u32,
-            );
+    /// Opens a shared-lock section for this thread: counts the acquisition,
+    /// absorbs pending events and the thread's local state, adopts a newer
+    /// lineage generation, and migrates the context to the shared
+    /// generation, so `(snapshot, context)` stays consistent. Returns
+    /// whether a simulated lock poisoning needs a republish to recover.
+    fn lock_section(&self, st: &mut ThreadState, sh: &mut SharedState) -> bool {
+        let poisoned = self.inner.note_slow_lock(sh);
+        self.inner.absorb_pending(sh);
+        if st.batch_events > 0 {
+            sh.note_events(st.batch_events);
+            st.batch_events = 0;
         }
-        if st.pending_profiler.len() < SAMPLE_BACKLOG {
-            st.pending_profiler.push((snap, weight));
-        } else {
-            let pos = st.pending_profiler_pos % SAMPLE_BACKLOG;
-            st.pending_profiler[pos] = (snap, weight);
+        self.publish_counters(st);
+        st.exec.flush_spills(sh);
+        st.exec.flush_pending(sh);
+        if sh.adopt_pending_lineage() {
+            let _ = self.inner.republish(sh);
         }
-        st.pending_profiler_pos += 1;
+        self.refresh(st);
+        poisoned
     }
 
-    /// Journal-side bookkeeping for a ccStack push that just happened:
-    /// records the push event and — when the stack reached a new high-water
-    /// mark past the configured watermark — an overflow event and metric.
-    /// `obs_on` is the journal gate, hoisted by batched callers so the
-    /// per-op loop does not re-load it.
-    fn note_cc_push(&self, st: &mut ThreadState, prev_max: usize, obs_on: bool) {
-        let depth = st.ctx.cc.depth();
-        if obs_on {
-            st.writer.cc_push(self.slot.tid.raw(), depth as u32);
-        }
-        if depth > prev_max && depth as u32 >= st.writer.watermark() {
-            self.inner.obs.on_cc_overflow();
-            st.writer.cc_overflow(self.slot.tid.raw(), depth as u32);
-        }
-    }
-
-    /// The slow path: the cached snapshot has no action for `(site,
-    /// target)`. Takes the shared lock, re-checks (a racing thread may have
-    /// patched the site first), runs the runtime handler if not, executes
-    /// the call against the live shared state, evaluates the §4 triggers
-    /// and republishes.
+    /// The slow path on a snapshot miss: under the shared lock, the trap
+    /// step and the executor's call step against the live shared state, the
+    /// §4 triggers, and a republish (which also recovers from a simulated
+    /// poisoning). Returns the action valid under the new snapshot.
     fn trap_call(
         &self,
         st: &mut ThreadState,
@@ -1111,183 +947,67 @@ impl ThreadHandle {
         let inner = &*self.inner;
         let mut sh_guard = inner.shared.lock();
         let sh = &mut *sh_guard;
-        // A simulated poisoning needs no extra recovery here: this slow
-        // path unconditionally republishes before returning.
-        let _ = inner.note_slow_lock(sh);
-        inner.absorb_pending(sh);
-        self.flush_local(st, sh);
-
-        // Adopt any generation a sibling tenant published to our shared
-        // lineage; the migration below then carries this thread across the
-        // local *and* lineage generation change in one decode/replay hop.
-        let _ = sh.adopt_pending_lineage();
-
-        // Catch up with any re-encoding published since our epoch check:
-        // the call below must execute against the current generation.
-        if sh.ts != st.snap.ts {
-            if fastpath::migrate(&*sh, &mut st.ctx, st.snap.dict(), &sh.site_owner).is_err() {
-                st.shard.decode_errors += 1;
-            }
-            sh.obs.on_migration();
-            if st.writer.enabled() {
-                st.writer
-                    .migration(self.slot.tid.raw(), st.snap.ts.raw(), sh.ts.raw());
-            }
-        }
-
-        let (action, site_wraps) = match sh.lookup_action(site, target) {
-            Some(r) => (r.action, r.tc_wrap),
-            None => {
-                // Note: the tracker API has no tail-call entry point, so a
-                // trap can never reveal a newly tail-calling function here
-                // (no frame retrofit needed — that path is engine-only).
-                let (a, newly_tail) =
-                    sh.handle_trap(self.slot.tid.raw(), site, caller, target, dispatch, false);
-                debug_assert!(newly_tail.is_none());
-                let wraps = sh.patches.get(site).is_some_and(|s| s.tc_wrap);
-                (a, wraps)
-            }
-        };
-        let eff = fastpath::exec_call(&*sh, &mut st.ctx, site, target, action, site_wraps, false);
-        if eff.compress_hit {
-            st.shard.compress_hits += 1;
-        }
-        st.shard.calls += 1;
+        let _ = self.lock_section(st, sh);
+        // The tracker API has no tail-call entry point, so a trap can never
+        // reveal a newly tail-calling function here (no frame retrofit —
+        // that path is engine-only).
+        let tid = self.slot.tid;
+        let (r, newly_tail) =
+            fastpath::resolve_or_trap(sh, tid, site, caller, target, dispatch, false);
+        debug_assert!(newly_tail.is_none());
+        st.exec.call(&*sh, &st.writer, site, target, r, false);
         sh.note_event();
-
-        if sh.reencode_check_due() {
-            let live = inner.ccops_total.load(Ordering::Relaxed);
-            if sh.should_reencode(&|| live) {
-                self.reencode_locked(sh, st);
-            }
-        }
+        let _ = self.reencode_if_due(sh, st);
         inner.update_trigger_mark(sh);
         st.snap = inner.republish(sh);
-        // A re-encoding above may have re-patched this very site; report
-        // the action valid under the snapshot the guard will be keyed to.
-        st.snap.resolve(site, target).map_or(action, |r| r.action)
+        // A re-encoding above may have re-patched this very site.
+        st.snap.resolve(site, target).map_or(r.action, |r| r.action)
     }
 
-    /// Applies a re-encoding while holding the shared lock. Only this
-    /// thread's context is regenerated eagerly (decode under the old
-    /// dictionary, shared core, replay under the new patches); every other
-    /// thread migrates itself at its next epoch check.
-    fn reencode_locked(&self, sh: &mut SharedState, st: &mut ThreadState) {
-        let own = {
-            let dict = sh.dicts.get(sh.ts).expect("current dictionary recorded");
-            decode_thread(
-                dict,
-                st.ctx.id,
-                st.ctx.current,
-                st.ctx.root,
-                st.ctx.cc.entries(),
-                &sh.site_owner,
-            )
-        };
-        let old_ts = sh.ts.raw();
+    /// Evaluates the §4 triggers under the shared lock and re-encodes when
+    /// one fires. Only this thread's context is migrated eagerly; every
+    /// other thread migrates itself at its next epoch check. Returns
+    /// whether it re-encoded; the caller republishes.
+    fn reencode_if_due(&self, sh: &mut SharedState, st: &mut ThreadState) -> bool {
+        let live = self.inner.ccops_total.load(Ordering::Relaxed);
+        if !sh.should_reencode(&|| live) {
+            return false;
+        }
         // On a shared lineage this either adopts a generation a sibling
-        // already published (skipping the redundant local re-encode) or
-        // re-encodes locally and publishes the result for the siblings.
-        let applied = match sh.reencode_via_lineage() {
-            LineageReencode::Adopted => true,
-            LineageReencode::Local(outcome, _cost) => {
-                matches!(outcome, ReencodeOutcome::Applied)
-            }
-        };
-        if applied {
-            match own {
-                Ok(path) => {
-                    fastpath::replay(&*sh, &mut st.ctx, &path);
-                    sh.obs.on_migration();
-                    if st.writer.enabled() {
-                        st.writer
-                            .migration(self.slot.tid.raw(), old_ts, sh.ts.raw());
-                    }
-                }
-                Err(_) => sh.stats.decode_errors += 1,
-            }
+        // already published or re-encodes locally and publishes the result.
+        if sh.reencode_via_lineage().applied() {
+            st.exec.migrate(&*sh, &st.writer, st.snap.dict());
         }
         // Replay rebuilt our ccStack; sync the flushed-op counter so the
         // rate window the triggers re-arm with starts clean.
-        let cc_now = st.ctx.cc.ops();
-        let delta = cc_now.saturating_sub(st.flushed_cc_ops);
+        self.publish_counters(st);
+        sh.reset_triggers(self.inner.ccops_total.load(Ordering::Relaxed));
+        true
+    }
+
+    /// Publishes this thread's ccStack-operation delta to `ccops_total`
+    /// (the §4 rate trigger's input) and its inline-cache and superop
+    /// deltas to the obs metrics.
+    fn publish_counters(&self, st: &mut ThreadState) {
+        let cc_now = st.exec.ctx.cc.ops();
+        let delta = cc_now - st.published.cc_ops;
         if delta > 0 {
             self.inner.ccops_total.fetch_add(delta, Ordering::Relaxed);
         }
-        st.flushed_cc_ops = cc_now;
-        let live = self.inner.ccops_total.load(Ordering::Relaxed);
-        sh.reset_triggers(live);
+        st.published.cc_ops = cc_now;
+        publish_obs(&self.inner.obs, st);
     }
 
-    /// Flushes this thread's local event batch, ccStack-op delta and sample
-    /// backlog into the shared state. Caller holds the shared lock.
-    fn flush_local(&self, st: &mut ThreadState, sh: &mut SharedState) {
-        if st.batch_events > 0 {
-            sh.note_events(st.batch_events);
-            st.batch_events = 0;
-        }
-        let cc_now = st.ctx.cc.ops();
-        let delta = cc_now.saturating_sub(st.flushed_cc_ops);
-        if delta > 0 {
-            self.inner.ccops_total.fetch_add(delta, Ordering::Relaxed);
-        }
-        st.flushed_cc_ops = cc_now;
-        let spills = st.ctx.cc.spill_events();
-        let d_spills = spills.saturating_sub(st.flushed_spill_events);
-        if d_spills > 0 {
-            sh.stats.degraded.cc_spill_events += d_spills;
-            sh.stats.degraded.cc_spilled_peak = sh
-                .stats
-                .degraded
-                .cc_spilled_peak
-                .max(st.ctx.cc.spilled_peak() as u64);
-            sh.obs.on_cc_spills(d_spills);
-            st.flushed_spill_events = spills;
-        }
-        flush_icache_obs(&self.inner.obs, st);
-        flush_superop_obs(&self.inner.obs, st);
-        for s in st.pending_samples.drain(..) {
-            sh.push_ring(&s);
-        }
-        st.pending_pos = 0;
-        for (s, w) in st.pending_profiler.drain(..) {
-            sh.push_profiler_ring(&s, w);
-        }
-        st.pending_profiler_pos = 0;
-    }
-
-    /// Fast-path trigger bookkeeping: counts the event locally and, every
-    /// [`EVENT_BATCH`] events, flushes the batch to the shared atomics.
-    /// The shared lock is only *tried* — and only once enough events have
-    /// accumulated for the re-encoding gate to possibly open — so the hot
-    /// path never blocks on it.
-    fn note_local_event(&self, st: &mut ThreadState) {
-        st.batch_events += 1;
-        if st.batch_events < EVENT_BATCH {
-            return;
-        }
-        self.flush_batch_counters(st);
-    }
-
-    /// Flushes the accumulated local event batch to the shared atomics and
-    /// — once enough events have flowed for the re-encoding gate to
-    /// possibly open — *tries* the shared lock to evaluate the §4
-    /// triggers. Shared by the per-event fast path (at [`EVENT_BATCH`]
-    /// granularity) and [`Self::run_batch`] (once per batch).
+    /// Flushes the local event batch to the shared atomics and — once
+    /// enough events flowed for a trigger to possibly fire — *tries* the
+    /// shared lock to evaluate the §4 triggers, so the hot path never
+    /// blocks on it. Runs every [`EVENT_BATCH`] events and after a batch.
     fn flush_batch_counters(&self, st: &mut ThreadState) {
         let inner = &*self.inner;
         let batch = st.batch_events;
         st.batch_events = 0;
         let pending = inner.pending_events.fetch_add(batch, Ordering::Relaxed) + batch;
-        let cc_now = st.ctx.cc.ops();
-        let delta = cc_now.saturating_sub(st.flushed_cc_ops);
-        if delta > 0 {
-            inner.ccops_total.fetch_add(delta, Ordering::Relaxed);
-        }
-        st.flushed_cc_ops = cc_now;
-        flush_icache_obs(&inner.obs, st);
-        flush_superop_obs(&inner.obs, st);
-
+        self.publish_counters(st);
         if pending < inner.trigger_check_at.load(Ordering::Relaxed) {
             return;
         }
@@ -1296,41 +1016,10 @@ impl ThreadHandle {
             return;
         };
         let sh = &mut *sh_guard;
-        let poisoned = inner.note_slow_lock(sh);
-        inner.absorb_pending(sh);
-        for s in st.pending_samples.drain(..) {
-            sh.push_ring(&s);
-        }
-        st.pending_pos = 0;
-        for (s, w) in st.pending_profiler.drain(..) {
-            sh.push_profiler_ring(&s, w);
-        }
-        st.pending_profiler_pos = 0;
-        if sh.adopt_pending_lineage() {
-            // A sibling tenant published a newer lineage generation; move
-            // this thread across it (decode under the old snapshot's
-            // dictionary, replay under the adopted patches) and republish
-            // so the other threads migrate at their next epoch check.
-            if fastpath::migrate(&*sh, &mut st.ctx, st.snap.dict(), &sh.site_owner).is_err() {
-                st.shard.decode_errors += 1;
-            }
-            sh.obs.on_migration();
-            if st.writer.enabled() {
-                st.writer
-                    .migration(self.slot.tid.raw(), st.snap.ts.raw(), sh.ts.raw());
-            }
-            st.snap = inner.republish(sh);
-        }
-        if sh.reencode_check_due() {
-            let live = inner.ccops_total.load(Ordering::Relaxed);
-            if sh.should_reencode(&|| live) {
-                self.reencode_locked(sh, st);
-                st.snap = inner.republish(sh);
-            }
-        }
-        if poisoned {
-            // Recovery from the simulated poisoning: republish so every
-            // thread revalidates its cached snapshot at its next event.
+        let poisoned = self.lock_section(st, sh);
+        // Poisoning recovery: republish so every thread revalidates its
+        // cached snapshot at its next event.
+        if self.reencode_if_due(sh, st) || poisoned {
             st.snap = inner.republish(sh);
         }
         inner.update_trigger_mark(sh);
@@ -1341,34 +1030,18 @@ impl ThreadHandle {
         let mut guard = self.slot.state.lock();
         let st = &mut *guard;
         self.refresh(st);
-        let snap = snapshot_of(st);
-        st.shard.samples += 1;
-        st.shard.cc_depths.push(snap.cc_depth() as u32);
-        self.inner.obs.on_sample(snap.cc_depth() as u32, snap.id);
-        // Buffer for the shared heat ring (flushed on the next slow path).
-        if st.pending_samples.len() < SAMPLE_BACKLOG {
-            st.pending_samples.push(snap.clone());
-        } else {
-            let pos = st.pending_pos % SAMPLE_BACKLOG;
-            st.pending_samples[pos] = snap.clone();
-        }
-        st.pending_pos += 1;
-        snap
-    }
-
-    /// The thread's current encoded context without sample accounting.
-    fn current_context(&self) -> EncodedContext {
-        let mut guard = self.slot.state.lock();
-        let st = &mut *guard;
-        self.refresh(st);
-        snapshot_of(st)
+        // Queued for the shared heat ring (flushed on the next slow path).
+        st.exec.sample(st.snap.ts)
     }
 
     /// The thread's current encoded context, without sample accounting
     /// (the journal recorder's full-state capture: entry states, seam
     /// seeds and resync records).
     pub fn context(&self) -> EncodedContext {
-        self.current_context()
+        let mut guard = self.slot.state.lock();
+        let st = &mut *guard;
+        self.refresh(st);
+        st.exec.snapshot(st.snap.ts)
     }
 
     /// An O(1) probe of the state components one call/return event can
@@ -1378,13 +1051,13 @@ impl ThreadHandle {
     /// without cloning the ccStack.
     pub fn state_sig(&self) -> crate::fragment::StateSig {
         let guard = self.slot.state.lock();
-        let st = &*guard;
+        let ctx = &guard.exec.ctx;
         crate::fragment::StateSig {
-            ts: st.snap.ts,
-            id: st.ctx.id,
-            depth: st.ctx.cc.depth(),
-            top: st.ctx.cc.top().copied(),
-            leaf: st.ctx.current,
+            ts: guard.snap.ts,
+            id: ctx.id,
+            depth: ctx.cc.depth(),
+            top: ctx.cc.top().copied(),
+            leaf: ctx.current,
         }
     }
 
@@ -1395,7 +1068,7 @@ impl ThreadHandle {
     pub fn capture_task(&self, handoff_site: CallSiteId) -> TaskContext {
         TaskContext {
             site: handoff_site,
-            origin: self.current_context(),
+            origin: self.context(),
         }
     }
 
@@ -1409,12 +1082,26 @@ impl ThreadHandle {
             site: task.site,
             parent: Box::new(task.origin.clone()),
         };
-        let previous = guard.ctx.spawn.replace(link);
+        let previous = guard.exec.ctx.spawn.replace(link);
         AdoptGuard {
             handle: self,
             previous: Some(previous),
         }
     }
+}
+
+/// The tracker's return path, shared by guard drops, batch returns and the
+/// batch unwind: the executor's return step with the open call's cached
+/// action while its epoch is current. A publication since the call
+/// migrated the context, so the step then reverses under the current
+/// generation's action.
+#[inline]
+fn ret_op(st: &mut ThreadState, call: OpenCall) {
+    let cached = (st.snap.epoch == call.epoch).then_some(call.action);
+    let (site, caller, target) = (call.site, call.caller, call.target);
+    st.exec
+        .ret(&*st.snap, &st.writer, site, caller, target, cached);
+    st.batch_events += 1;
 }
 
 /// Resolves `(site, target)` against the thread's cached snapshot, routing
@@ -1441,9 +1128,11 @@ fn resolve_cached(
             tc_wrap: cs.tc_wrap,
         }),
         CompiledDispatch::Poly { index } => {
-            if let Some((action, tc_wrap)) = st.ctx.icache.probe(slot, st.snap.epoch, site, target)
+            let exec = &mut st.exec;
+            if let Some((action, tc_wrap)) =
+                exec.ctx.icache.probe(slot, st.snap.epoch, site, target)
             {
-                st.shard.icache_hits += 1;
+                exec.shard.icache_hits += 1;
                 Some(ResolvedSite {
                     action,
                     // One compare against the cached entry replaces the
@@ -1452,12 +1141,12 @@ fn resolve_cached(
                     tc_wrap,
                 })
             } else {
-                st.shard.icache_misses += 1;
+                exec.shard.icache_misses += 1;
                 let r = st
                     .snap
                     .dispatch
                     .poly_resolve(index, target, &st.snap.cost, cs.tc_wrap)?;
-                st.ctx
+                exec.ctx
                     .icache
                     .fill(slot, st.snap.epoch, site, target, r.action, r.tc_wrap);
                 Some(r)
@@ -1466,38 +1155,21 @@ fn resolve_cached(
     }
 }
 
-/// Publishes the thread's inline-cache hit/miss deltas to the obs metrics.
-fn flush_icache_obs(obs: &Observability, st: &mut ThreadState) {
-    let dh = st.shard.icache_hits - st.flushed_icache_hits;
-    let dm = st.shard.icache_misses - st.flushed_icache_misses;
-    if dh != 0 || dm != 0 {
-        obs.on_icache(dh, dm);
-        st.flushed_icache_hits = st.shard.icache_hits;
-        st.flushed_icache_misses = st.shard.icache_misses;
-    }
+/// Publishes the thread's inline-cache and superop hit/miss deltas to the
+/// obs metrics.
+fn publish_obs(obs: &Observability, st: &mut ThreadState) {
+    let (shard, done) = (&st.exec.shard, &mut st.published);
+    let icache = (shard.icache_hits, shard.icache_misses);
+    publish_pair(icache, &mut done.icache, |h, m| obs.on_icache(h, m));
+    let superops = (shard.superop_hits, shard.superop_misses);
+    publish_pair(superops, &mut done.superops, |h, m| obs.on_superops(h, m));
 }
 
-/// Publishes the thread's superop hit/miss deltas to the obs metrics.
-fn flush_superop_obs(obs: &Observability, st: &mut ThreadState) {
-    let dh = st.shard.superop_hits - st.flushed_superop_hits;
-    let dm = st.shard.superop_misses - st.flushed_superop_misses;
-    if dh != 0 || dm != 0 {
-        obs.on_superops(dh, dm);
-        st.flushed_superop_hits = st.shard.superop_hits;
-        st.flushed_superop_misses = st.shard.superop_misses;
-    }
-}
-
-/// Builds the encoded context of a thread's current state. Stamped with
-/// the snapshot's timestamp — the generation the context is encoded under.
-fn snapshot_of(st: &ThreadState) -> EncodedContext {
-    EncodedContext {
-        ts: st.snap.ts,
-        id: st.ctx.id,
-        leaf: st.ctx.current,
-        root: st.ctx.root,
-        cc: st.ctx.cc.entries().to_vec(),
-        spawn: st.ctx.spawn.clone(),
+/// Emits the delta of a `(hits, misses)` total since `done`, if any.
+fn publish_pair(now: (u64, u64), done: &mut (u64, u64), emit: impl FnOnce(u64, u64)) {
+    if now != *done {
+        emit(now.0 - done.0, now.1 - done.1);
+        *done = now;
     }
 }
 
@@ -1528,7 +1200,7 @@ pub struct AdoptGuard<'t> {
 impl Drop for AdoptGuard<'_> {
     fn drop(&mut self) {
         if let Some(prev) = self.previous.take() {
-            self.handle.slot.state.lock().ctx.spawn = prev;
+            self.handle.slot.state.lock().exec.ctx.spawn = prev;
         }
     }
 }
@@ -1539,11 +1211,7 @@ impl Drop for AdoptGuard<'_> {
 #[derive(Debug)]
 pub struct CallGuard<'t> {
     handle: &'t ThreadHandle,
-    site: CallSiteId,
-    caller: FunctionId,
-    callee: FunctionId,
-    action: EdgeAction,
-    epoch: u64,
+    call: OpenCall,
 }
 
 impl Drop for CallGuard<'_> {
@@ -1551,21 +1219,10 @@ impl Drop for CallGuard<'_> {
         let mut guard = self.handle.slot.state.lock();
         let st = &mut *guard;
         self.handle.refresh(st);
-        let action = if st.snap.epoch == self.epoch {
-            self.action
-        } else {
-            // A publication intervened since the call; the context was
-            // migrated, so reverse under the current generation's action.
-            st.snap
-                .resolve(self.site, self.callee)
-                .map_or(EdgeAction::Unencoded, |r| r.action)
-        };
-        let _ = fastpath::exec_ret(&*st.snap, &mut st.ctx, self.site, self.caller, action);
-        if action.uses_ccstack() && st.writer.enabled() {
-            st.writer
-                .cc_pop(self.handle.slot.tid.raw(), st.ctx.cc.depth() as u32);
+        ret_op(st, self.call);
+        if st.batch_events >= EVENT_BATCH {
+            self.handle.flush_batch_counters(st);
         }
-        self.handle.note_local_event(st);
     }
 }
 

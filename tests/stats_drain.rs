@@ -13,6 +13,7 @@ const ITERS: usize = 2_000;
 
 fn run_workers(tracker: &Tracker, main_fn: FunctionId, sites: &[CallSiteId], fns: &[FunctionId]) {
     let stop = AtomicBool::new(false);
+    let drained = AtomicBool::new(false);
     crossbeam::scope(|scope| {
         for t in 0..THREADS {
             let tr = tracker.clone();
@@ -30,7 +31,7 @@ fn run_workers(tracker: &Tracker, main_fn: FunctionId, sites: &[CallSiteId], fns
         }
         // Drain continuously while the workers run: every intermediate
         // observation must be internally consistent and monotone.
-        let stop = &stop;
+        let (stop, drained) = (&stop, &drained);
         let tr = tracker.clone();
         let drainer = scope.spawn(move |_| {
             let mut last_calls = 0u64;
@@ -44,13 +45,15 @@ fn run_workers(tracker: &Tracker, main_fn: FunctionId, sites: &[CallSiteId], fns
                 );
                 last_calls = s.calls;
                 drains += 1;
+                drained.store(true, Ordering::Relaxed);
             }
             drains
         });
         // Wait for the workers to finish (observable through the drain
-        // itself), then stop the drainer.
+        // itself) and for the drainer to have drained at least once — the
+        // workers can finish before it is first scheduled — then stop it.
         let target = (THREADS * ITERS) as u64;
-        while tracker.stats().calls < target {
+        while tracker.stats().calls < target || !drained.load(Ordering::Relaxed) {
             std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
