@@ -4,13 +4,11 @@
 Usage: perf_gate.py BASELINE.csv CANDIDATE.csv [--threshold 0.25]
        perf_gate.py --ratio RESULTS.csv [--threshold 0.03]
 
-Both files are the per-op CSVs the quick-mode benches record
-(`results/dispatch.csv`, `results/tracker_scale.csv`): a header row, then
-one row per variant whose *last* column is the per-op nanosecond figure and
-whose remaining columns form the variant key. CSVs that carry extra
-informational columns after the timing (`results/superops.csv` appends a
-hit-rate column) pass `--key-cols N`: the first N columns form the key,
-column N+1 is the per-op figure, and everything after it is ignored.
+Both files are the per-op CSVs the benches record through the shared
+harness (`results/dispatch.csv`, `results/tracker_scale.csv`, ...): a
+header row, then one row per variant. The value is the column headed
+`median_ns`; the columns before it form the variant key, and columns
+after it (`iqr_ns`, a hit rate, a measured/modeled mode) are ignored.
 
 In the default two-file mode the gate fails (exit 1) when
 
@@ -43,31 +41,31 @@ import csv
 import sys
 
 
-def load(path, key_cols=None):
-    """Returns {variant-key-tuple: per-op-ns} for one CSV.
+VALUE_COL = "median_ns"
 
-    By default the last column is the per-op value and everything before
-    it is the key; with `key_cols` the first `key_cols` columns are the
-    key, the next column is the value and trailing columns are ignored.
-    """
+
+def load(path):
+    """Returns {variant-key-tuple: median per-op ns} for one CSV."""
     try:
         with open(path, newline="") as fh:
             rows = [r for r in csv.reader(fh) if r]
     except OSError as e:
         sys.exit(f"perf-gate: {path}: cannot read: {e.strerror or e} "
                  "(did the bench that records this CSV run?)")
+    if not rows or VALUE_COL not in rows[0]:
+        sys.exit(f"perf-gate: {path}: no {VALUE_COL!r} column in header")
     if len(rows) < 2:
         sys.exit(f"perf-gate: {path}: no data rows")
+    col = rows[0].index(VALUE_COL)
+    if col == 0:
+        sys.exit(f"perf-gate: {path}: no key columns before {VALUE_COL!r}")
     out = {}
     for row in rows[1:]:
-        if key_cols is not None and len(row) <= key_cols:
-            sys.exit(f"perf-gate: {path}: row {row!r} has no value column "
-                     f"after {key_cols} key columns")
-        key, value = ((tuple(row[:key_cols]), row[key_cols])
-                      if key_cols is not None
-                      else (tuple(row[:-1]), row[-1]))
+        if len(row) <= col:
+            sys.exit(f"perf-gate: {path}: row {row!r} has no {VALUE_COL} "
+                     "value")
         try:
-            out[key] = float(value)
+            out[tuple(row[:col])] = float(row[col])
         except ValueError:
             sys.exit(f"perf-gate: {path}: non-numeric per-op value in {row!r}")
     return out
@@ -76,7 +74,7 @@ def load(path, key_cols=None):
 def ratio_gate(args):
     """On/off self-comparison of one CSV (see module docstring)."""
     threshold = args.threshold if args.threshold is not None else 0.03
-    rows = load(args.baseline, args.key_cols)
+    rows = load(args.baseline)
     on = {k[:-1]: v for k, v in rows.items() if k[-1] == args.on_tag}
     off = {k[:-1]: v for k, v in rows.items() if k[-1] == args.off_tag}
     if not on and not off:
@@ -131,14 +129,7 @@ def main():
                     help="variant tag of the gated rows (default 'on')")
     ap.add_argument("--off-tag", default="off",
                     help="variant tag of the reference rows (default 'off')")
-    ap.add_argument("--key-cols", type=int, default=None,
-                    help="first N columns form the variant key and column "
-                         "N+1 is the per-op value; trailing informational "
-                         "columns are ignored (default: last column is the "
-                         "value)")
     args = ap.parse_args()
-    if args.key_cols is not None and args.key_cols < 1:
-        ap.error("--key-cols must be at least 1")
 
     if args.ratio:
         if args.candidate is not None:
@@ -149,8 +140,8 @@ def main():
     if args.threshold is None:
         args.threshold = 0.25
 
-    base = load(args.baseline, args.key_cols)
-    cand = load(args.candidate, args.key_cols)
+    base = load(args.baseline)
+    cand = load(args.candidate)
 
     failures = []
     print(f"perf-gate: {args.candidate} vs {args.baseline} "

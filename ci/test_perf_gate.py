@@ -9,8 +9,11 @@ self-comparison mode (the continuous profiler's 3% on/off overhead
 budget) gets its own table: within budget, past budget, an unpaired
 row, a custom threshold, and the negative-threshold speedup floor the
 fragment-parallel decode gate uses (workers4 must at least halve
-serial). Missing or unreadable CSVs must die with a clean perf-gate
-message in both modes, never a traceback.
+serial). The value is found by its `median_ns` header: later columns
+are ignored, and a CSV without that column, a row missing its value or
+a header with no key columns is a clean error. Missing or unreadable
+CSVs must die with a clean perf-gate message in both modes, never a
+traceback.
 
 Run directly (`python3 ci/test_perf_gate.py`) or via unittest discovery
 (`python3 -m unittest discover ci`); CI runs it in the model-check job.
@@ -34,7 +37,7 @@ def write_csv(directory, name, rows):
     return path
 
 
-HEADER = ["bench", "variant", "ns_per_op"]
+HEADER = ["bench", "variant", "median_ns"]
 
 
 class PerfGateTest(unittest.TestCase):
@@ -142,7 +145,7 @@ class PerfGateTest(unittest.TestCase):
         self.assertIn("no data rows", str(cm.exception))
 
     def run_ratio_gate(self, rows, threshold=None,
-                       header=("threads", "sampling", "per_op_ns")):
+                       header=("threads", "sampling", "median_ns")):
         """Runs perf_gate.main() in --ratio mode on one in-tempdir CSV."""
         path = write_csv(self.dir, "ratio.csv", [list(header)] + rows)
         argv = ["perf_gate.py", "--ratio", path]
@@ -186,51 +189,70 @@ class PerfGateTest(unittest.TestCase):
         code, _ = self.run_ratio_gate(rows, threshold=0.03)
         self.assertEqual(code, 1)
 
-    def run_ratio_gate_keycols(self, rows, key_cols, threshold=None):
-        """--ratio mode with an explicit --key-cols on one CSV."""
-        header = ["threads", "variant", "per_op_ns", "hit_rate"]
-        path = write_csv(self.dir, "keycols.csv", [header] + rows)
-        argv = ["perf_gate.py", "--ratio", path, "--key-cols", str(key_cols)]
-        if threshold is not None:
-            argv += ["--threshold", str(threshold)]
-        out = io.StringIO()
-        old_argv, sys.argv = sys.argv, argv
-        try:
-            with contextlib.redirect_stdout(out):
-                code = perf_gate.main()
-        finally:
-            sys.argv = old_argv
-        return code, out.getvalue()
-
-    def test_key_cols_ignores_trailing_hit_rate_column(self):
-        # superops.csv shape: the timing sits before an informational
-        # hit-rate column, so --key-cols 2 must pair on (threads, variant)
-        # and gate on column 3 only.
-        rows = [["1", "off", "17.0", "0.00"], ["1", "on", "8.0", "0.97"],
-                ["4", "off", "18.0", "0.00"], ["4", "on", "18.2", "0.95"]]
-        code, out = self.run_ratio_gate_keycols(rows, key_cols=2)
-        self.assertEqual(code, 0)
-        self.assertIn("perf-gate: ok", out)
-
-    def test_key_cols_still_detects_a_regression(self):
-        rows = [["1", "off", "17.0", "0.00"], ["1", "on", "18.0", "0.99"]]
-        code, out = self.run_ratio_gate_keycols(rows, key_cols=2)  # +5.9%
-        self.assertEqual(code, 1)
-        self.assertIn("REGRESSION", out)
-
-    def test_key_cols_row_without_value_column_is_a_hard_error(self):
-        path = write_csv(self.dir, "short.csv",
-                         [["threads", "variant", "per_op_ns"],
-                          ["1", "off"]])
-        old_argv = sys.argv
-        sys.argv = ["perf_gate.py", "--ratio", path, "--key-cols", "2"]
+    def gate_error(self, argv):
+        """Runs perf_gate.main() expecting a clean exit; returns its text."""
+        old_argv, sys.argv = sys.argv, ["perf_gate.py"] + argv
         try:
             with self.assertRaises(SystemExit) as cm:
                 with contextlib.redirect_stdout(io.StringIO()):
                     perf_gate.main()
         finally:
             sys.argv = old_argv
-        self.assertIn("no value column", str(cm.exception))
+        msg = str(cm.exception)
+        self.assertTrue(msg.startswith("perf-gate: "), msg)
+        return msg
+
+    def test_columns_after_median_are_ignored(self):
+        # superops.csv shape: the median sits before the IQR and an
+        # informational hit-rate column, so the gate pairs on
+        # (threads, variant) and reads only the median_ns column.
+        header = ("threads", "variant", "median_ns", "iqr_ns", "hit_rate")
+        rows = [["1", "off", "17.0", "0.9", "0.00"],
+                ["1", "on", "8.0", "0.4", "0.97"],
+                ["4", "off", "18.0", "2.0", "0.00"],
+                ["4", "on", "18.2", "9.9", "0.95"]]
+        code, out = self.run_ratio_gate(rows, header=header)
+        self.assertEqual(code, 0)
+        self.assertIn("perf-gate: ok", out)
+
+    def test_header_lookup_still_detects_a_regression(self):
+        header = ("bench", "variant", "median_ns", "iqr_ns", "mode")
+        base = write_csv(self.dir, "base.csv", [list(header),
+                         ["server-rr", "serial", "10.0", "0.1", "measured"]])
+        cand = write_csv(self.dir, "cand.csv", [list(header),
+                         ["server-rr", "serial", "13.0", "0.1", "measured"]])
+        out = io.StringIO()
+        old_argv, sys.argv = sys.argv, ["perf_gate.py", base, cand]
+        try:
+            with contextlib.redirect_stdout(out):
+                code = perf_gate.main()
+        finally:
+            sys.argv = old_argv
+        self.assertEqual(code, 1)
+        self.assertIn("REGRESSION", out.getvalue())
+        self.assertIn("server-rr/serial", out.getvalue())
+
+    def test_csv_without_median_column_is_a_clean_error(self):
+        path = write_csv(self.dir, "old.csv",
+                         [["threads", "variant", "per_op_ns"],
+                          ["1", "off", "17.0"]])
+        msg = self.gate_error(["--ratio", path])
+        self.assertIn("no 'median_ns' column", msg)
+
+    def test_row_missing_its_value_is_a_clean_error(self):
+        path = write_csv(self.dir, "short.csv",
+                         [["threads", "variant", "median_ns", "iqr_ns"],
+                          ["1", "off"]])
+        self.assertIn("has no median_ns value", self.gate_error(["--ratio", path]))
+        path = write_csv(self.dir, "blank.csv",
+                         [["threads", "variant", "median_ns", "iqr_ns"],
+                          ["1", "off", "", "0.5"]])
+        self.assertIn("non-numeric", self.gate_error(["--ratio", path]))
+
+    def test_median_without_key_columns_is_a_clean_error(self):
+        path = write_csv(self.dir, "nokey.csv",
+                         [["median_ns", "iqr_ns"], ["17.0", "0.5"]])
+        self.assertIn("no key columns", self.gate_error(["--ratio", path]))
 
     def test_missing_candidate_file_fails_cleanly(self):
         # Satellite of the decode-gate work: a results CSV the bench never

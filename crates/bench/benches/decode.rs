@@ -1,104 +1,76 @@
-//! Criterion benchmarks of Algorithm 1: decoding encoded contexts of
-//! varying shapes back into calling contexts.
+//! Benchmarks of Algorithm 1: decoding encoded contexts of varying shapes
+//! back into calling contexts. One op is one whole-context decode.
+//! Prints only.
+//!
+//! ```text
+//! cargo bench -p dacce-bench --bench decode
+//! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-use dacce::{DacceConfig, DacceEngine};
+use dacce::{DacceConfig, DacceEngine, EncodedContext};
+use dacce_bench::harness::{banner, report, Plan};
 use dacce_callgraph::{CallSiteId, FunctionId};
 use dacce_program::runtime::CallDispatch;
 use dacce_program::{CostModel, ThreadId};
 
-fn f(i: u32) -> FunctionId {
-    FunctionId::new(i)
-}
-fn s(i: u32) -> CallSiteId {
-    CallSiteId::new(i)
-}
+/// Decodes per repetition.
+const DECODES: usize = 500;
 
-/// Builds an engine holding a live chain context of the given depth, all
-/// encoded (one re-encode), and returns it with the snapshot.
-fn chain_engine(depth: u32) -> (DacceEngine, dacce::EncodedContext) {
-    let cfg = DacceConfig {
-        edge_threshold: 4,
-        min_events_between_reencodes: 1,
-        ..DacceConfig::default()
-    };
+/// Runs `calls` (site, caller, callee) direct calls on a fresh engine
+/// and returns it with the snapshot of the resulting live context.
+fn live_context(cfg: DacceConfig, calls: &[(u32, u32, u32)]) -> (DacceEngine, EncodedContext) {
     let mut e = DacceEngine::new(cfg, CostModel::default());
-    e.attach_main(f(0));
-    e.thread_start(ThreadId::MAIN, f(0), None);
-    for i in 0..depth {
-        e.call(
-            ThreadId::MAIN,
-            s(i),
-            f(i),
-            f(i + 1),
-            CallDispatch::Direct,
-            false,
+    e.attach_main(FunctionId::new(0));
+    e.thread_start(ThreadId::MAIN, FunctionId::new(0), None);
+    for &(site, caller, callee) in calls {
+        let (s, f, g) = (
+            CallSiteId::new(site),
+            FunctionId::new(caller),
+            FunctionId::new(callee),
         );
+        e.call(ThreadId::MAIN, s, f, g, CallDispatch::Direct, false);
     }
     let snap = e.snapshot(ThreadId::MAIN);
     (e, snap)
 }
 
-/// Deep self-recursion with compression: constant-size ccStack no matter
-/// the logical depth.
-fn compressed_engine(depth: u32) -> (DacceEngine, dacce::EncodedContext) {
-    let cfg = DacceConfig {
+fn bench(name: String, plan: Plan, (e, snap): (DacceEngine, EncodedContext)) {
+    let s = plan.measure(plan.work, || {
+        for _ in 0..plan.work {
+            std::hint::black_box(e.decode(&snap).expect("decodes"));
+        }
+    });
+    report(&name, s);
+}
+
+fn main() {
+    banner("Algorithm 1 decode (ns per decoded context)");
+    let plan = Plan::new(DECODES);
+    // A live chain context, all encoded (one re-encode).
+    let chain = DacceConfig {
+        edge_threshold: 4,
+        min_events_between_reencodes: 1,
+        ..DacceConfig::default()
+    };
+    for depth in [8u32, 64, 512] {
+        let calls: Vec<_> = (0..depth).map(|i| (i, i, i + 1)).collect();
+        bench(
+            format!("encoded_chain/{depth}"),
+            plan,
+            live_context(chain.clone(), &calls),
+        );
+    }
+    // Deep self-recursion with compression: constant-size ccStack no
+    // matter the logical depth.
+    let compressed = DacceConfig {
         edge_threshold: 2,
         min_events_between_reencodes: 1,
         compression_min_heat: 1,
         ..DacceConfig::default()
     };
-    let mut e = DacceEngine::new(cfg, CostModel::default());
-    e.attach_main(f(0));
-    e.thread_start(ThreadId::MAIN, f(0), None);
-    e.call(
-        ThreadId::MAIN,
-        s(0),
-        f(0),
-        f(1),
-        CallDispatch::Direct,
-        false,
-    );
-    for _ in 0..depth {
-        e.call(
-            ThreadId::MAIN,
-            s(1),
-            f(1),
-            f(1),
-            CallDispatch::Direct,
-            false,
-        );
+    for depth in [64usize, 1024, 8192] {
+        let mut calls = vec![(1, 1, 1); depth + 1];
+        calls[0] = (0, 0, 1);
+        let name = format!("compressed_recursion/{depth}");
+        bench(name, plan, live_context(compressed.clone(), &calls));
     }
-    let snap = e.snapshot(ThreadId::MAIN);
-    (e, snap)
 }
-
-fn bench_decode_chain(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode/encoded_chain");
-    for depth in [8u32, 64, 512] {
-        let (e, snap) = chain_engine(depth);
-        group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
-            b.iter(|| e.decode(&snap).expect("decodes"));
-        });
-    }
-    group.finish();
-}
-
-fn bench_decode_compressed_recursion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode/compressed_recursion");
-    for depth in [64u32, 1024, 8192] {
-        let (e, snap) = compressed_engine(depth);
-        group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
-            b.iter(|| e.decode(&snap).expect("decodes"));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_decode_chain,
-    bench_decode_compressed_recursion
-);
-criterion_main!(benches);

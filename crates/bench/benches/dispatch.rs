@@ -12,49 +12,23 @@
 //! * `trap` — first execution of a fresh site: full runtime-handler cost
 //!   (graph insert, patch, dispatch-table sync, republish).
 //!
-//! Times itself and writes `results/dispatch.csv`; `DACCE_BENCH_QUICK=1`
-//! shrinks the run for CI smoke jobs.
+//! One op is one call+return pair. Writes `results/dispatch.csv`.
 //!
 //! ```text
 //! cargo bench -p dacce-bench --bench dispatch
 //! ```
 
-use std::time::Instant;
-
 use dacce::tracker::ThreadHandle;
 use dacce::{DacceConfig, Tracker};
-use dacce_callgraph::FunctionId;
+use dacce_bench::harness::{banner, eager_config, Plan, Table};
+use dacce_callgraph::{CallSiteId, FunctionId};
 
-fn quick() -> bool {
-    std::env::var("DACCE_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
+/// Calls per repetition on an already-resolved site.
+const CALLS: usize = 200_000;
+/// Fresh sites trapped per repetition.
+const TRAPS: usize = 4_000;
 
-fn rounds() -> usize {
-    if quick() {
-        2_000
-    } else {
-        20_000
-    }
-}
-
-fn iters() -> usize {
-    if quick() {
-        3
-    } else {
-        30
-    }
-}
-
-/// Tracker whose edges re-encode eagerly, so the measured sites carry
-/// `Encoded` actions rather than ccStack pushes.
-fn eager_tracker() -> Tracker {
-    Tracker::with_config(DacceConfig {
-        edge_threshold: 1,
-        min_events_between_reencodes: 1,
-        ..DacceConfig::default()
-    })
-}
-
+/// A tracker with `main` registered and two callable targets.
 fn register(tracker: &Tracker) -> (ThreadHandle, FunctionId, FunctionId) {
     let f_main = tracker.define_function("main");
     let a = tracker.define_function("target_a");
@@ -62,104 +36,97 @@ fn register(tracker: &Tracker) -> (ThreadHandle, FunctionId, FunctionId) {
     (tracker.register_thread(f_main), a, b)
 }
 
-/// Best-of-`iters()` nanoseconds per call+return pair.
-fn best(mut one_iter: impl FnMut() -> f64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters() {
-        let ns = one_iter();
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
+/// One resolved site on an eager tracker: direct with one target, or
+/// indirect with two (which makes it polymorphic).
+struct Resolved {
+    tracker: Tracker,
+    th: ThreadHandle,
+    site: CallSiteId,
+    a: FunctionId,
+    b: FunctionId,
 }
 
-fn bench_mono() -> f64 {
-    let tracker = eager_tracker();
-    let (th, a, _) = register(&tracker);
-    let site = tracker.define_call_site();
-    for _ in 0..4 {
-        drop(th.call(site, a));
-    }
-    let n = rounds();
-    best(|| {
-        let t0 = Instant::now();
-        for _ in 0..n {
-            drop(th.call(site, a));
+impl Resolved {
+    fn new(indirect: bool) -> Resolved {
+        let tracker = Tracker::with_config(eager_config());
+        let (th, a, b) = register(&tracker);
+        let site = tracker.define_call_site();
+        for _ in 0..4 {
+            if indirect {
+                drop(th.call_indirect(site, a));
+                drop(th.call_indirect(site, b));
+            } else {
+                drop(th.call(site, a));
+            }
         }
-        t0.elapsed().as_nanos() as f64 / n as f64
-    })
-}
-
-/// `alternate = false` measures steady-state inline-cache hits;
-/// `alternate = true` flips the callee every round so the direct-mapped
-/// entry misses every probe.
-fn bench_poly(alternate: bool) -> f64 {
-    let tracker = eager_tracker();
-    let (th, a, b) = register(&tracker);
-    let site = tracker.define_call_site();
-    // Two targets through one site make it polymorphic.
-    for _ in 0..4 {
-        drop(th.call_indirect(site, a));
-        drop(th.call_indirect(site, b));
-    }
-    let n = rounds();
-    let ns = best(|| {
-        let t0 = Instant::now();
-        for i in 0..n {
-            let target = if alternate && i % 2 == 1 { b } else { a };
-            drop(th.call_indirect(site, target));
+        Resolved {
+            tracker,
+            th,
+            site,
+            a,
+            b,
         }
-        t0.elapsed().as_nanos() as f64 / n as f64
-    });
-    // The cache must actually behave as the scenario intends.
-    let stats = tracker.stats();
-    if alternate {
-        assert!(
-            stats.icache_misses > (n / 2) as u64,
-            "alternating targets must thrash the inline cache"
-        );
-    } else {
-        assert!(
-            stats.icache_hits > (n / 2) as u64,
-            "steady target must hit the inline cache"
-        );
     }
-    ns
-}
-
-fn bench_trap() -> f64 {
-    // Each measured call is the first execution of its site, so every
-    // iteration needs a fresh tracker. Default config: no eager re-encode
-    // storm in the middle of the handler measurements.
-    let n = rounds().min(4_000);
-    best(|| {
-        let tracker = Tracker::with_config(DacceConfig::default());
-        let (th, a, _) = register(&tracker);
-        let sites: Vec<_> = (0..n).map(|_| tracker.define_call_site()).collect();
-        let t0 = Instant::now();
-        for &site in &sites {
-            drop(th.call(site, a));
-        }
-        t0.elapsed().as_nanos() as f64 / n as f64
-    })
 }
 
 fn main() {
-    println!("site-dispatch per-op cost (call+return, single thread)");
-    let mut csv = String::from("variant,per_op_ns\n");
-    for (variant, ns) in [
-        ("mono", bench_mono()),
-        ("poly_hit", bench_poly(false)),
-        ("poly_miss", bench_poly(true)),
-        ("trap", bench_trap()),
-    ] {
-        println!("{variant:>10} {ns:>12.2} ns/op");
-        use std::fmt::Write as _;
-        let _ = writeln!(csv, "{variant},{ns:.2}");
+    banner("site-dispatch per-op cost (call+return, single thread)");
+    let plan = Plan::new(CALLS);
+    let (mono, hit, miss) = (
+        Resolved::new(false),
+        Resolved::new(true),
+        Resolved::new(true),
+    );
+    let s = plan.measure_each(&[plan.work; 3], |case| {
+        for i in 0..plan.work {
+            match case {
+                0 => drop(mono.th.call(mono.site, mono.a)),
+                1 => drop(hit.th.call_indirect(hit.site, hit.a)),
+                // Alternating callees thrash the direct-mapped entry.
+                _ => drop(
+                    miss.th
+                        .call_indirect(miss.site, if i % 2 == 1 { miss.b } else { miss.a }),
+                ),
+            }
+        }
+    });
+    // The cache must actually behave as each scenario intends.
+    let half = (plan.work / 2) as u64;
+    assert!(
+        hit.tracker.stats().icache_hits > half,
+        "steady target must hit the inline cache"
+    );
+    assert!(
+        miss.tracker.stats().icache_misses > half,
+        "alternating targets must thrash"
+    );
+
+    // Each trapped call is the first execution of its site, so every
+    // repetition gets a fresh tracker, built untimed. Default config: no
+    // eager re-encode storm in the middle of the handler measurements.
+    let traps = Plan::new(TRAPS);
+    let trap = traps.measure_with(
+        traps.work,
+        || {
+            let tracker = Tracker::with_config(DacceConfig::default());
+            let (th, a, _) = register(&tracker);
+            let sites: Vec<_> = (0..traps.work)
+                .map(|_| tracker.define_call_site())
+                .collect();
+            (tracker, th, a, sites)
+        },
+        |(tracker, th, a, sites)| {
+            for &site in &sites {
+                drop(th.call(site, a));
+            }
+            (tracker, th)
+        },
+    );
+
+    let mut table = Table::new("dispatch.csv", &["variant"], &[]);
+    for (variant, s) in ["mono", "poly_hit", "poly_miss"].into_iter().zip(s) {
+        table.row(&[variant], s, &[]);
     }
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results).expect("create results dir");
-    std::fs::write(results.join("dispatch.csv"), csv).expect("write dispatch.csv");
-    println!("wrote results/dispatch.csv");
+    table.row(&["trap"], trap, &[]);
+    table.write();
 }

@@ -1,177 +1,122 @@
-//! Criterion microbenchmarks of the DACCE engine's hot paths: the
-//! per-call instrumentation work a real deployment would inline.
-
-use criterion::{criterion_group, criterion_main, Criterion};
+//! Microbenchmarks of the DACCE engine's hot paths: the per-call
+//! instrumentation work a real deployment would inline. One op is one
+//! call+return pair (one snapshot for `sample_snapshot`). Prints only.
+//!
+//! ```text
+//! cargo bench -p dacce-bench --bench engine
+//! ```
 
 use dacce::{DacceConfig, DacceEngine};
+use dacce_bench::harness::{banner, report, Plan};
 use dacce_callgraph::{CallSiteId, FunctionId};
 use dacce_program::runtime::CallDispatch;
 use dacce_program::{CostModel, ThreadId};
 
-fn f(i: u32) -> FunctionId {
-    FunctionId::new(i)
-}
-fn s(i: u32) -> CallSiteId {
-    CallSiteId::new(i)
-}
+/// Ops per repetition.
+const OPS: usize = 200_000;
 
-/// Engine with a small encoded graph (one re-encode already done).
-fn encoded_engine() -> DacceEngine {
-    let cfg = DacceConfig {
-        edge_threshold: 2,
-        min_events_between_reencodes: 1,
-        ..DacceConfig::default()
-    };
+use CallDispatch::{Direct, Indirect};
+
+/// Engine with `main` attached and its thread started.
+fn engine(cfg: DacceConfig) -> DacceEngine {
     let mut e = DacceEngine::new(cfg, CostModel::default());
-    e.attach_main(f(0));
-    e.thread_start(ThreadId::MAIN, f(0), None);
-    // Discover two edges; the second discovery triggers a re-encode, after
-    // which both are encoded.
-    e.call(
-        ThreadId::MAIN,
-        s(0),
-        f(0),
-        f(1),
-        CallDispatch::Direct,
-        false,
-    );
-    e.call(
-        ThreadId::MAIN,
-        s(1),
-        f(1),
-        f(2),
-        CallDispatch::Direct,
-        false,
-    );
-    e.ret(ThreadId::MAIN, s(1), f(1), f(2));
-    e.ret(ThreadId::MAIN, s(0), f(0), f(1));
+    e.attach_main(FunctionId::new(0));
+    e.thread_start(ThreadId::MAIN, FunctionId::new(0), None);
     e
 }
 
-fn bench_encoded_roundtrip(c: &mut Criterion) {
-    let mut e = encoded_engine();
-    c.bench_function("engine/encoded_call_return", |b| {
-        b.iter(|| {
-            e.call(
-                ThreadId::MAIN,
-                s(0),
-                f(0),
-                f(1),
-                CallDispatch::Direct,
-                false,
-            );
-            e.ret(ThreadId::MAIN, s(0), f(0), f(1));
-        });
-    });
+/// One call edge on the main thread: `(site, caller, callee, dispatch)`.
+type Edge = (u32, u32, u32, CallDispatch);
+
+/// Enters the edge's callee.
+fn call(e: &mut DacceEngine, (site, caller, callee, dispatch): Edge) {
+    let (s, f, g) = (
+        CallSiteId::new(site),
+        FunctionId::new(caller),
+        FunctionId::new(callee),
+    );
+    e.call(ThreadId::MAIN, s, f, g, dispatch, false);
 }
 
-fn bench_recursive_compressed(c: &mut Criterion) {
-    let cfg = DacceConfig {
+/// Leaves the frame [`call`] entered.
+fn ret(e: &mut DacceEngine, (site, caller, callee, _): Edge) {
+    let (s, f, g) = (
+        CallSiteId::new(site),
+        FunctionId::new(caller),
+        FunctionId::new(callee),
+    );
+    e.ret(ThreadId::MAIN, s, f, g);
+}
+
+/// Engine with a small encoded graph: discovering the second edge
+/// triggers a re-encode, after which both are encoded.
+fn encoded_engine() -> DacceEngine {
+    let mut e = engine(DacceConfig {
+        edge_threshold: 2,
+        min_events_between_reencodes: 1,
+        ..DacceConfig::default()
+    });
+    let (outer, inner) = ((0, 0, 1, Direct), (1, 1, 2, Direct));
+    call(&mut e, outer);
+    call(&mut e, inner);
+    ret(&mut e, inner);
+    ret(&mut e, outer);
+    e
+}
+
+/// Times `OPS` call+return pairs over `edge`.
+fn roundtrip(name: &str, plan: Plan, e: &mut DacceEngine, edge: Edge) {
+    let s = plan.measure(plan.work, || {
+        for _ in 0..plan.work {
+            call(e, edge);
+            ret(e, edge);
+        }
+    });
+    report(name, s);
+}
+
+fn main() {
+    banner("DACCE engine hot paths (ns per call+return pair)");
+    let plan = Plan::new(OPS);
+    roundtrip(
+        "encoded_call_return",
+        plan,
+        &mut encoded_engine(),
+        (0, 0, 1, Direct),
+    );
+
+    let mut e = engine(DacceConfig {
         edge_threshold: 2,
         min_events_between_reencodes: 1,
         compression_min_heat: 1,
         ..DacceConfig::default()
-    };
-    let mut e = DacceEngine::new(cfg, CostModel::default());
-    e.attach_main(f(0));
-    e.thread_start(ThreadId::MAIN, f(0), None);
-    e.call(
-        ThreadId::MAIN,
-        s(0),
-        f(0),
-        f(1),
-        CallDispatch::Direct,
-        false,
-    );
-    // Make the self edge hot enough to be compressed after re-encoding.
-    for _ in 0..128 {
-        e.call(
-            ThreadId::MAIN,
-            s(1),
-            f(1),
-            f(1),
-            CallDispatch::Direct,
-            false,
-        );
-        e.ret(ThreadId::MAIN, s(1), f(1), f(1));
-    }
-    c.bench_function("engine/compressed_recursion_call_return", |b| {
-        b.iter(|| {
-            e.call(
-                ThreadId::MAIN,
-                s(1),
-                f(1),
-                f(1),
-                CallDispatch::Direct,
-                false,
-            );
-            e.ret(ThreadId::MAIN, s(1), f(1), f(1));
-        });
     });
-}
+    call(&mut e, (0, 0, 1, Direct));
+    // Make the self edge hot enough to be compressed after re-encoding.
+    let recursion = (1, 1, 1, Direct);
+    for _ in 0..128 {
+        call(&mut e, recursion);
+        ret(&mut e, recursion);
+    }
+    roundtrip("compressed_recursion_call_return", plan, &mut e, recursion);
 
-fn bench_indirect_hash(c: &mut Criterion) {
-    let cfg = DacceConfig {
+    let mut e = engine(DacceConfig {
         indirect_inline_max: 2,
         ..DacceConfig::default()
-    };
-    let mut e = DacceEngine::new(cfg, CostModel::default());
-    e.attach_main(f(0));
-    e.thread_start(ThreadId::MAIN, f(0), None);
-    for t in 1..=8u32 {
-        e.call(
-            ThreadId::MAIN,
-            s(0),
-            f(0),
-            f(t),
-            CallDispatch::Indirect,
-            false,
-        );
-        e.ret(ThreadId::MAIN, s(0), f(0), f(t));
+    });
+    for t in 1..=8 {
+        call(&mut e, (0, 0, t, Indirect));
+        ret(&mut e, (0, 0, t, Indirect));
     }
-    c.bench_function("engine/indirect_hash_dispatch", |b| {
-        b.iter(|| {
-            e.call(
-                ThreadId::MAIN,
-                s(0),
-                f(0),
-                f(5),
-                CallDispatch::Indirect,
-                false,
-            );
-            e.ret(ThreadId::MAIN, s(0), f(0), f(5));
-        });
-    });
-}
+    roundtrip("indirect_hash_dispatch", plan, &mut e, (0, 0, 5, Indirect));
 
-fn bench_sample(c: &mut Criterion) {
     let mut e = encoded_engine();
-    e.call(
-        ThreadId::MAIN,
-        s(0),
-        f(0),
-        f(1),
-        CallDispatch::Direct,
-        false,
-    );
-    e.call(
-        ThreadId::MAIN,
-        s(1),
-        f(1),
-        f(2),
-        CallDispatch::Direct,
-        false,
-    );
-    c.bench_function("engine/sample_snapshot", |b| {
-        b.iter(|| e.sample(ThreadId::MAIN));
+    call(&mut e, (0, 0, 1, Direct));
+    call(&mut e, (1, 1, 2, Direct));
+    let s = plan.measure(plan.work, || {
+        for _ in 0..plan.work {
+            std::hint::black_box(e.sample(ThreadId::MAIN));
+        }
     });
+    report("sample_snapshot", s);
 }
-
-criterion_group!(
-    benches,
-    bench_encoded_roundtrip,
-    bench_recursive_compressed,
-    bench_indirect_hash,
-    bench_sample
-);
-criterion_main!(benches);

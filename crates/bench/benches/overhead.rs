@@ -1,58 +1,46 @@
 //! End-to-end wall-clock benchmark: the interpreter running one workload
 //! under the null runtime, DACCE and PCCE. This is the real-time
 //! counterpart of the cost-model overheads in `figure8` — the *relative*
-//! times here cross-check the model's orderings.
-
-use criterion::{criterion_group, criterion_main, Criterion};
+//! times here cross-check the model's orderings. One op is one
+//! interpreted call. Prints only.
+//!
+//! ```text
+//! cargo bench -p dacce-bench --bench overhead
+//! ```
 
 use dacce::DacceRuntime;
+use dacce_bench::harness::{banner, report, Plan};
 use dacce_pcce::{PcceRuntime, ProfilingRuntime};
 use dacce_program::runtime::NullRuntime;
 use dacce_program::{CostModel, Interpreter};
 use dacce_workloads::{driver, BenchSpec, DriverConfig};
 
-fn spec() -> BenchSpec {
-    BenchSpec {
+fn main() {
+    banner("interpreter end to end: null vs DACCE vs PCCE (ns per call)");
+    let spec = BenchSpec {
         budget_calls: 30_000,
         ..BenchSpec::tiny("bench-overhead", 77)
-    }
-}
-
-fn bench_null(c: &mut Criterion) {
-    let spec = spec();
+    };
     let program = driver::program_of(&spec);
     let cfg = driver::interp_config(&spec, &DriverConfig::default());
-    c.bench_function("endtoend/null", |b| {
-        b.iter(|| Interpreter::new(&program, cfg.clone()).run(&mut NullRuntime::default()));
-    });
-}
+    // One interpreted run per repetition.
+    let plan = Plan::new(1);
+    let interp = || Interpreter::new(&program, cfg.clone());
+    let calls = interp().run(&mut NullRuntime::default()).calls as usize;
 
-fn bench_dacce(c: &mut Criterion) {
-    let spec = spec();
-    let program = driver::program_of(&spec);
-    let cfg = driver::interp_config(&spec, &DriverConfig::default());
-    c.bench_function("endtoend/dacce", |b| {
-        b.iter(|| {
-            let mut rt = DacceRuntime::with_defaults();
-            Interpreter::new(&program, cfg.clone()).run(&mut rt)
-        });
-    });
-}
-
-fn bench_pcce(c: &mut Criterion) {
-    let spec = spec();
-    let program = driver::program_of(&spec);
-    let cfg = driver::interp_config(&spec, &DriverConfig::default());
+    report(
+        "null",
+        plan.measure(calls, || interp().run(&mut NullRuntime::default())),
+    );
+    report(
+        "dacce",
+        plan.measure(calls, || interp().run(&mut DacceRuntime::with_defaults())),
+    );
     let mut profiler = ProfilingRuntime::new();
-    let _ = Interpreter::new(&program, cfg.clone()).run(&mut profiler);
+    let _ = interp().run(&mut profiler);
     let profile = profiler.into_data();
-    c.bench_function("endtoend/pcce", |b| {
-        b.iter(|| {
-            let mut rt = PcceRuntime::new(profile.clone(), CostModel::default());
-            Interpreter::new(&program, cfg.clone()).run(&mut rt)
-        });
+    let s = plan.measure(calls, || {
+        interp().run(&mut PcceRuntime::new(profile.clone(), CostModel::default()))
     });
+    report("pcce", s);
 }
-
-criterion_group!(benches, bench_null, bench_dacce, bench_pcce);
-criterion_main!(benches);

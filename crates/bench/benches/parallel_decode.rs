@@ -2,11 +2,10 @@
 //! production workload into a decode journal, then time the serial
 //! decoder against [`dacce::decode_parallel`] at 1/2/4 workers.
 //!
-//! Times itself (best-of-N wall clock over the whole journal — the
-//! acceptance criterion is a per-op decode cost) and writes
-//! `results/parallel_decode.csv` (`bench,variant,ns_per_op`), the input
-//! for the CI speedup gate
-//! `ci/perf_gate.py --ratio --on-tag workers4 --off-tag serial`.
+//! One repetition decodes the whole journal; one op is one journal op.
+//! Writes `results/parallel_decode.csv`
+//! (`bench,variant,median_ns,iqr_ns,mode`), the input for the CI speedup
+//! gate `ci/perf_gate.py --ratio --on-tag workers4 --off-tag serial`.
 //!
 //! On machines with fewer cores than a variant's worker count the wall
 //! clock cannot show a speedup, so the variant is *modeled* instead of
@@ -15,45 +14,25 @@
 //! measured serial per-op rate. The modeled figure gates fragment
 //! balance — with enough well-cut seams the makespan at 4 workers must
 //! be under half the total — and the measured figure replaces it
-//! wherever the cores exist (CI runners have 4). The mode of every row
-//! is printed; byte-identical output vs the serial decoder is asserted
-//! for every variant either way.
+//! wherever the cores exist. The trailing `mode` column says which each
+//! row is; byte-identical output vs the serial decoder is asserted for
+//! every variant either way.
 //!
 //! Also writes the recorded journal to `target/parallel_decode.journal`
 //! (a `dacce-journal v1` document) so CI can audit the seam chain with
 //! `dacce-lint --fragments`.
 //!
-//! `DACCE_BENCH_QUICK=1` shrinks the workload for CI smoke jobs.
-//!
 //! ```text
 //! cargo bench -p dacce-bench --bench parallel_decode
 //! ```
 
-use std::time::Instant;
-
 use dacce::{decode_parallel, decode_serial, import, DacceConfig};
+use dacce_bench::harness::{banner, Plan, Table};
 use dacce_workloads::families::server_trace;
 use dacce_workloads::journal::record_journal;
 
-fn quick() -> bool {
-    std::env::var("DACCE_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
-
-fn iters() -> usize {
-    if quick() {
-        3
-    } else {
-        10
-    }
-}
-
-fn scale() -> f64 {
-    if quick() {
-        0.4
-    } else {
-        1.5
-    }
-}
+/// Budget multiplier of the recorded `server-rr` trace.
+const TRACE_SCALE: f64 = 1.5;
 
 /// LPT makespan of the fragment sizes on `workers` workers, in ops.
 fn lpt_makespan(sizes: &[usize], workers: usize) -> usize {
@@ -71,15 +50,15 @@ fn lpt_makespan(sizes: &[usize], workers: usize) -> usize {
 }
 
 fn main() {
-    let trace = server_trace(7, scale());
+    banner("fragment-parallel decode throughput (server-rr journal)");
+    let trace = server_trace(7, TRACE_SCALE);
     let config = DacceConfig {
         edge_threshold: 4,
         min_events_between_reencodes: 256,
         ..DacceConfig::default()
     };
     let run = record_journal(&trace, config, 512);
-    let total_ops = run.journal.ops();
-    let ops = total_ops as f64;
+    let ops = run.journal.ops();
     let dec = import(&run.export).expect("journal export parses");
 
     // Per-thread fragment sizes, exactly as decode_parallel cuts them.
@@ -95,80 +74,44 @@ fn main() {
         })
         .filter(|&s| s > 0)
         .collect();
-
-    let mut serial_ns = f64::INFINITY;
-    let mut serial_out = None;
-    for _ in 0..iters() {
-        let t0 = Instant::now();
-        let out = decode_serial(&run.journal, &dec).expect("journal replays");
-        serial_ns = serial_ns.min(t0.elapsed().as_nanos() as f64 / ops);
-        serial_out = Some(out);
-    }
-    let serial_out = serial_out.expect("at least one serial iteration");
-
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!(
-        "fragment-parallel decode — {} ops, {} decode points, {} fragments, {} cores",
-        total_ops,
+        "{ops} ops, {} decode points, {} fragments",
         run.journal.samples(),
-        sizes.len(),
-        cores
-    );
-    println!(
-        "{:>10} {:>14} {:>9} {:>9}",
-        "variant", "ns/op", "speedup", "mode"
-    );
-    println!(
-        "{:>10} {serial_ns:>14.2} {:>8.2}x {:>9}",
-        "serial", 1.0, "measured"
+        sizes.len()
     );
 
-    let mut csv = String::from("bench,variant,ns_per_op\n");
-    use std::fmt::Write as _;
-    let _ = writeln!(csv, "server-rr,serial,{serial_ns:.2}");
-    for &workers in &[1usize, 2, 4] {
-        let (ns, mode) = if cores >= workers {
-            let mut best = f64::INFINITY;
-            for _ in 0..iters() {
-                let t0 = Instant::now();
-                let (out, _) =
-                    decode_parallel(&run.journal, &dec, workers).expect("journal replays");
-                best = best.min(t0.elapsed().as_nanos() as f64 / ops);
-                assert_eq!(
-                    out, serial_out,
-                    "parallel decode diverged at {workers} workers"
-                );
-            }
-            (best, "measured")
+    // One whole-journal decode per repetition.
+    let plan = Plan::new(1);
+    let serial_out = decode_serial(&run.journal, &dec).expect("journal replays");
+    let serial = plan.measure(ops, || decode_serial(&run.journal, &dec));
+    let mut table = Table::new("parallel_decode.csv", &["bench", "variant"], &["mode"]);
+    table.row(&["server-rr", "serial"], serial, &["measured".into()]);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    for workers in [1usize, 2, 4] {
+        let (out, report) = decode_parallel(&run.journal, &dec, workers).expect("journal replays");
+        assert_eq!(
+            out, serial_out,
+            "parallel decode diverged at {workers} workers"
+        );
+        assert_eq!(report.seam_failures, 0, "all seams must prove");
+        let (s, mode) = if cores >= workers {
+            let s = plan.measure(ops, || decode_parallel(&run.journal, &dec, workers));
+            (s, "measured")
         } else {
             // Not enough cores to show wall-clock parallelism: cost the
-            // LPT schedule's makespan at the measured serial rate. Still
-            // replay once to assert output identity and proven seams.
-            let (out, report) =
-                decode_parallel(&run.journal, &dec, workers).expect("journal replays");
-            assert_eq!(
-                out, serial_out,
-                "parallel decode diverged at {workers} workers"
-            );
-            assert_eq!(report.seam_failures, 0, "all seams must prove");
+            // LPT schedule's makespan at the measured serial rate.
             let makespan = lpt_makespan(&sizes, workers);
-            (serial_ns * makespan as f64 / ops, "modeled")
+            (serial.scaled(makespan as f64 / ops as f64), "modeled")
         };
-        println!(
-            "{:>10} {ns:>14.2} {:>8.2}x {mode:>9}",
-            format!("workers{workers}"),
-            serial_ns / ns.max(f64::MIN_POSITIVE)
+        table.row(
+            &["server-rr", &format!("workers{workers}")],
+            s,
+            &[mode.into()],
         );
-        let _ = writeln!(csv, "server-rr,workers{workers},{ns:.2}");
     }
+    table.write();
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let results = root.join("results");
-    std::fs::create_dir_all(&results).expect("create results dir");
-    std::fs::write(results.join("parallel_decode.csv"), csv).expect("write parallel_decode.csv");
-    println!("wrote results/parallel_decode.csv");
-
-    let target = root.join("target");
+    let target = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
     std::fs::create_dir_all(&target).expect("create target dir");
     std::fs::write(
         target.join("parallel_decode.journal"),

@@ -1,212 +1,65 @@
 //! Superop throughput: the batch drive of `tracker_scale` with the hot
 //! round compiled into a single superop, off vs on at 1/2/4/8 threads.
 //!
-//! Same program shape as `tracker_scale`'s `batch` variant — N OS threads
-//! each replaying `ROUNDS_PER_BATCH` rounds of `DEPTH` calls then `DEPTH`
-//! returns per `run_batch` call over already-encoded edges — so the `off`
+//! Same program shape as `tracker_scale`'s `batch` variant, so the `off`
 //! rows are directly comparable to `results/tracker_scale.csv`. The `on`
 //! rows install superops mined from the exact batch programs the threads
 //! replay, so every round executes as one table probe plus a memoized net
 //! effect instead of `2 * DEPTH` per-event iterations.
 //!
-//! Times itself (the acceptance criterion is a per-op cost) and writes
-//! `results/superops.csv` with a trailing informational hit-rate column;
-//! the CI perf-smoke job gates `on` against `off` with
-//! `perf_gate.py --ratio --key-cols 2` so path memoization may never
-//! regress the plain batch drive by more than 3%.
-//! `DACCE_BENCH_QUICK=1` shrinks the run for CI smoke jobs.
+//! Writes `results/superops.csv` with a trailing informational hit-rate
+//! column; the CI perf-smoke job gates `on` against `off` with
+//! `perf_gate.py --ratio` so path memoization may never regress the plain
+//! batch drive by more than 3%.
 //!
 //! ```text
 //! cargo bench -p dacce-bench --bench superops
 //! ```
 
-use std::time::Instant;
-
-use dacce::tracker::{BatchOp, ThreadHandle};
-use dacce::{DacceConfig, Tracker};
-use dacce_callgraph::{CallSiteId, FunctionId};
+use dacce::DacceConfig;
+use dacce_bench::harness::{banner, eager_config, Chain, Plan, Table, CHAIN_ROUNDS};
 use dacce_workloads::mine_windows;
 
-/// Nesting depth of each round (frames entered then unwound).
-const DEPTH: usize = 4;
-/// Rounds folded into one `run_batch` call (`2 * DEPTH` ops each).
-const ROUNDS_PER_BATCH: usize = 16;
-
-fn quick() -> bool {
-    std::env::var("DACCE_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
-
-/// Call/return pairs ticked per thread per measured iteration; a multiple
-/// of [`ROUNDS_PER_BATCH`] so both variants do identical work.
-fn rounds_per_iter() -> usize {
-    if quick() {
-        ROUNDS_PER_BATCH * 10
-    } else {
-        ROUNDS_PER_BATCH * 125
-    }
-}
-
-fn iters() -> usize {
-    if quick() {
-        3
-    } else {
-        30
-    }
-}
-
-struct Prepared {
-    tracker: Tracker,
-    handles: Vec<ThreadHandle>,
-    /// Per-thread pre-built batch program: `ROUNDS_PER_BATCH` rounds of
-    /// `DEPTH` calls then `DEPTH` returns.
-    batches: Vec<Vec<BatchOp>>,
-}
-
-/// Builds a tracker whose per-thread edges are already discovered and
-/// encoded; with `superops` on, the hot rounds are mined from the batch
-/// programs themselves and compiled into the published table.
-fn prepare(threads: usize, superops: bool) -> Prepared {
+/// A warmed chain; with `superops` on, the hot rounds are mined from
+/// the batch programs themselves and compiled into the published table.
+fn chain(threads: usize, superops: bool) -> Chain {
     let config = DacceConfig {
-        edge_threshold: 1,
-        min_events_between_reencodes: 1,
         superops_enabled: superops,
-        ..DacceConfig::default()
+        ..eager_config()
     };
-    let max_window = config.superop_max_window;
-    let max_table = config.superop_max_table;
-    let tracker = Tracker::with_config(config);
-    let f_main = tracker.define_function("main");
-    let worker_fns: Vec<FunctionId> = (0..threads)
-        .map(|i| tracker.define_function(&format!("worker{i}")))
-        .collect();
-    let depth_fns: Vec<FunctionId> = (0..DEPTH)
-        .map(|i| tracker.define_function(&format!("level{i}")))
-        .collect();
-    let spawn_site = tracker.define_call_site();
-    let sites: Vec<Vec<CallSiteId>> = (0..threads)
-        .map(|_| (0..DEPTH).map(|_| tracker.define_call_site()).collect())
-        .collect();
-
-    let main_th = tracker.register_thread(f_main);
-    let handles: Vec<ThreadHandle> = (0..threads)
-        .map(|w| tracker.register_spawned_thread(worker_fns[w], &main_th, spawn_site))
-        .collect();
-
-    // Warm every edge so the re-encoder folds them into the encoding; the
-    // measured loop then never traps.
-    for (w, th) in handles.iter().enumerate() {
-        for _ in 0..4 {
-            let mut guards = Vec::new();
-            for d in 0..DEPTH {
-                guards.push(th.call(sites[w][d], depth_fns[d]));
-            }
-            while let Some(g) = guards.pop() {
-                drop(g);
-            }
-        }
-    }
-
-    let batches: Vec<Vec<BatchOp>> = (0..threads)
-        .map(|w| {
-            let mut ops = Vec::with_capacity(ROUNDS_PER_BATCH * 2 * DEPTH);
-            for _ in 0..ROUNDS_PER_BATCH {
-                for d in 0..DEPTH {
-                    ops.push(BatchOp::Call {
-                        site: sites[w][d],
-                        target: depth_fns[d],
-                    });
-                }
-                for _ in 0..DEPTH {
-                    ops.push(BatchOp::Ret);
-                }
-            }
-            ops
-        })
-        .collect();
-
+    let (window, table_max) = (config.superop_max_window, config.superop_max_table);
+    let chain = Chain::new(threads, config);
     if superops {
-        let refs: Vec<&[BatchOp]> = batches.iter().map(Vec::as_slice).collect();
-        let candidates = mine_windows(&refs, max_window, max_table, |_| 0);
-        let installed = tracker.install_superops(&candidates);
-        assert!(installed > 0, "hot rounds must compile");
+        let refs: Vec<_> = chain.batches.iter().map(Vec::as_slice).collect();
+        let candidates = mine_windows(&refs, window, table_max, |_| 0);
+        assert!(
+            chain.tracker.install_superops(&candidates) > 0,
+            "hot rounds must compile"
+        );
     }
-
-    Prepared {
-        tracker,
-        handles,
-        batches,
-    }
-}
-
-fn run_threads(p: &Prepared, rounds: usize) {
-    let calls = rounds / ROUNDS_PER_BATCH;
-    crossbeam::scope(|scope| {
-        for (w, th) in p.handles.iter().enumerate() {
-            let ops = &p.batches[w];
-            scope.spawn(move |_| {
-                for _ in 0..calls {
-                    th.run_batch(ops).expect("balanced batch");
-                }
-            });
-        }
-    })
-    .expect("bench threads complete");
-}
-
-/// Best-of-`iters()` per-op nanoseconds; one op = one call+return pair
-/// (the same unit as `tracker_scale.csv`).
-fn measure(p: &Prepared, threads: usize) -> f64 {
-    let rounds = rounds_per_iter();
-    let ops = (threads * rounds * DEPTH) as f64;
-    let mut best = f64::INFINITY;
-    for _ in 0..iters() {
-        let t0 = Instant::now();
-        run_threads(p, rounds);
-        let ns = t0.elapsed().as_nanos() as f64 / ops;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
+    chain
 }
 
 fn main() {
-    let mut csv = String::from("threads,variant,per_op_ns,hit_rate\n");
-    println!("tracker batch drive per-op cost (superops off vs on)");
-    println!(
-        "{:>8} {:>12} {:>12} {:>9} {:>9}",
-        "threads", "off ns/op", "on ns/op", "speedup", "hit rate"
-    );
-    for &threads in &[1usize, 2, 4, 8] {
-        let mut rates = [0.0f64; 2];
-        let mut times = [0.0f64; 2];
-        for (i, superops) in [false, true].into_iter().enumerate() {
-            let p = prepare(threads, superops);
-            times[i] = measure(&p, threads);
-            let stats = p.tracker.stats();
-            assert_eq!(stats.decode_errors, 0);
-            let probes = stats.superop_hits + stats.superop_misses;
-            rates[i] = if probes == 0 {
-                0.0
-            } else {
-                stats.superop_hits as f64 / probes as f64
-            };
-            if superops {
-                assert!(stats.superop_hits > 0, "measured loop must hit");
-            }
-        }
-        let [off, on] = times;
-        println!(
-            "{threads:>8} {off:>12.2} {on:>12.2} {:>8.2}x {:>9.2}",
-            off / on.max(f64::MIN_POSITIVE),
-            rates[1]
+    banner("tracker batch drive per-op cost (superops off vs on)");
+    let plan = Plan::new(CHAIN_ROUNDS);
+    let cases: Vec<(usize, &str, Chain)> = [1usize, 2, 4, 8]
+        .into_iter()
+        .flat_map(|t| [(t, "off", chain(t, false)), (t, "on", chain(t, true))])
+        .collect();
+    let ops: Vec<usize> = cases.iter().map(|(_, _, c)| c.ops(plan.work)).collect();
+    let s = plan.measure_each(&ops, |i| cases[i].2.drive_batches(plan.work));
+    let mut table = Table::new("superops.csv", &["threads", "variant"], &["hit_rate"]);
+    for ((threads, variant, chain), s) in cases.iter().zip(s) {
+        let stats = chain.tracker.stats();
+        assert_eq!(stats.decode_errors, 0);
+        assert!(
+            *variant == "off" || stats.superop_hits > 0,
+            "measured loop must hit"
         );
-        use std::fmt::Write as _;
-        let _ = writeln!(csv, "{threads},off,{off:.2},{:.4}", rates[0]);
-        let _ = writeln!(csv, "{threads},on,{on:.2},{:.4}", rates[1]);
+        let probes = (stats.superop_hits + stats.superop_misses).max(1);
+        let rate = stats.superop_hits as f64 / probes as f64;
+        table.row(&[&threads.to_string(), variant], s, &[format!("{rate:.4}")]);
     }
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results).expect("create results dir");
-    std::fs::write(results.join("superops.csv"), csv).expect("write superops.csv");
-    println!("wrote results/superops.csv");
+    table.write();
 }

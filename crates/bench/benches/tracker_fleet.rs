@@ -15,58 +15,30 @@
 //!   (compare with the `batch` rows of `results/tracker_scale.csv`).
 //! * **Shared-state footprint** — attached tenants hold `Arc`s to the
 //!   lineage's dictionaries/graph/owner table rather than copies; the
-//!   bench prints the lineage count (always 1) as the witness.
+//!   bench asserts the lineage count (always 1) as the witness.
 //!
-//! Times itself (best-of-K per-op nanoseconds, same protocol as
-//! `tracker_scale`) and writes `results/tracker_fleet.csv`.
-//! `DACCE_BENCH_QUICK=1` shrinks iteration counts for CI smoke jobs; the
-//! tenant ladder stays identical so the perf-gate variant keys match.
+//! One op is one call+return pair. Writes `results/tracker_fleet.csv`.
 //!
 //! ```text
 //! cargo bench -p dacce-bench --bench tracker_fleet
 //! ```
 
-use std::time::Instant;
-
-use dacce::tracker::BatchOp;
 use dacce::{DacceConfig, Tracker};
+use dacce_bench::harness::{
+    banner, chain_batch, eager_config, guard_round, Plan, Summary, Table, CHAIN_ROUNDS, DEPTH,
+    ROUNDS_PER_BATCH,
+};
 use dacce_fleet::{DefEdge, Fleet, ProgramDef};
 
-/// Nesting depth of each round (frames entered then unwound).
-const DEPTH: usize = 4;
-/// Rounds folded into one `run_batch` call (`2 * DEPTH` ops each).
-const ROUNDS_PER_BATCH: usize = 16;
-/// Tenant-count ladder; identical in quick mode so gate keys line up.
+/// Tenant-count ladder.
 const LADDER: [usize; 4] = [1, 8, 64, 1000];
-
-fn quick() -> bool {
-    std::env::var("DACCE_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
-
-fn rounds_per_iter() -> usize {
-    if quick() {
-        ROUNDS_PER_BATCH * 50
-    } else {
-        ROUNDS_PER_BATCH * 125
-    }
-}
-
-fn iters() -> usize {
-    if quick() {
-        20
-    } else {
-        200
-    }
-}
 
 /// The shared program: a `main -> level0 -> … -> level{DEPTH-1}` chain of
 /// direct calls — the same shape `tracker_scale` drives, so the
 /// standalone/fleet per-op numbers are directly comparable.
 fn chain_def() -> ProgramDef {
     let mut functions = vec!["main".to_string()];
-    for d in 0..DEPTH {
-        functions.push(format!("level{d}"));
-    }
+    functions.extend((0..DEPTH).map(|d| format!("level{d}")));
     let edges = (0..DEPTH)
         .map(|d| DefEdge {
             caller: d,
@@ -85,57 +57,10 @@ fn chain_def() -> ProgramDef {
     }
 }
 
-fn config() -> DacceConfig {
-    DacceConfig {
-        edge_threshold: 1,
-        min_events_between_reencodes: 1,
-        ..DacceConfig::default()
-    }
-}
-
-/// One batch program: `ROUNDS_PER_BATCH` rounds of `DEPTH` calls then
-/// `DEPTH` returns over the chain.
-fn batch_ops(def: &ProgramDef) -> Vec<BatchOp> {
-    let mut ops = Vec::with_capacity(ROUNDS_PER_BATCH * 2 * DEPTH);
-    for _ in 0..ROUNDS_PER_BATCH {
-        for d in 0..DEPTH {
-            ops.push(BatchOp::Call {
-                site: def.site(d),
-                target: def.function(d + 1),
-            });
-        }
-        for _ in 0..DEPTH {
-            ops.push(BatchOp::Ret);
-        }
-    }
-    ops
-}
-
-/// Best-of-`iters()` per-op nanoseconds of the batched drive on `tracker`.
-fn measure(tracker: &Tracker, def: &ProgramDef) -> f64 {
-    let thread = tracker.register_thread(def.main_fn());
-    let ops = batch_ops(def);
-    let rounds = rounds_per_iter();
-    let calls = rounds / ROUNDS_PER_BATCH;
-    let total_ops = (rounds * DEPTH) as f64;
-    let mut best = f64::INFINITY;
-    for _ in 0..iters() {
-        let t0 = Instant::now();
-        for _ in 0..calls {
-            thread.run_batch(&ops).expect("balanced batch");
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / total_ops;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
 /// The standalone twin: the same declaration and warm seed as a fleet
 /// founder, with no lineage attached.
-fn standalone(def: &ProgramDef) -> Tracker {
-    let tracker = Tracker::with_config(config());
+fn standalone(config: DacceConfig, def: &ProgramDef) -> Tracker {
+    let tracker = Tracker::with_config(config);
     for name in &def.functions {
         let _ = tracker.define_function(name);
     }
@@ -147,69 +72,58 @@ fn standalone(def: &ProgramDef) -> Tracker {
 }
 
 fn main() {
+    banner("fleet tenant per-op cost (batched encoded call/return pairs)");
     let def = chain_def();
-    let mut csv = String::from("scenario,variant,per_op_ns\n");
-    use std::fmt::Write as _;
-
-    println!("fleet tenant per-op cost (batched encoded call/return pairs)");
-    println!("{:>14} {:>14} {:>10}", "scenario", "batch ns/op", "vs solo");
-
-    let solo = measure(&standalone(&def), &def);
-    println!("{:>14} {solo:>14.2} {:>9.2}x", "standalone", 1.0);
-    let _ = writeln!(csv, "standalone,batch,{solo:.2}");
-
-    for &tenants in &LADDER {
-        let fleet = Fleet::with_config(config());
-        let mut last = None;
-        let t0 = Instant::now();
-        for i in 0..tenants {
-            last = Some(fleet.register(&format!("svc-{i}"), &def));
-        }
-        let attach_total = t0.elapsed();
-        let nth = fleet
-            .tracker(last.expect("ladder counts are non-zero"))
-            .expect("registered");
-
-        // Cold-start check on the Nth tenant: a full walk over the defined
-        // chain must not trap — the adopted lineage already encodes it.
-        {
-            let thread = nth.register_thread(def.main_fn());
-            let mut guards = Vec::new();
-            for d in 0..DEPTH {
-                guards.push(thread.call(def.site(d), def.function(d + 1)));
-            }
-            while let Some(g) = guards.pop() {
-                drop(g);
-            }
-        }
-        let cold_traps = nth.stats().traps;
-        assert_eq!(
-            cold_traps, 0,
-            "tenant {tenants} of a shared lineage must attach with zero cold-start traps"
-        );
-
-        let per_op = measure(&nth, &def);
+    let plan = Plan::new(CHAIN_ROUNDS);
+    // Every fleet stays resident while any tenant is measured.
+    let mut fleets = Vec::new();
+    let mut scenarios = vec![("standalone".to_string(), standalone(eager_config(), &def))];
+    for tenants in LADDER {
+        let fleet = Fleet::with_config(eager_config());
+        let last = (0..tenants)
+            .map(|i| fleet.register(&format!("svc-{i}"), &def))
+            .last()
+            .expect("ladder counts are non-zero");
+        let nth = fleet.tracker(last).expect("registered");
         let stats = fleet.fleet_stats();
-        assert_eq!(stats.lineages, 1, "one program definition, one lineage");
-        println!(
-            "{:>14} {per_op:>14.2} {:>9.2}x   ({} tenants, {} lineage, registered in {:.1} ms)",
-            format!("fleet-{tenants}"),
-            per_op / solo.max(f64::MIN_POSITIVE),
-            stats.tenants,
-            stats.lineages,
-            attach_total.as_secs_f64() * 1e3
+        assert_eq!(
+            (stats.lineages, stats.tenants),
+            (1, tenants),
+            "one lineage for all"
         );
-        let _ = writeln!(csv, "fleet-{tenants},batch,{per_op:.2}");
-        if tenants == *LADDER.last().expect("ladder is non-empty") {
-            let _ = writeln!(csv, "fleet-{tenants},cold_traps,{cold_traps}.00");
-        }
+        scenarios.push((format!("fleet-{tenants}"), nth));
+        fleets.push(fleet);
     }
 
-    // `cargo bench` runs with the package as CWD; anchor on the manifest so
-    // the CSV lands in the workspace-root `results/` like every other
-    // artifact.
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results).expect("create results dir");
-    std::fs::write(results.join("tracker_fleet.csv"), csv).expect("write tracker_fleet.csv");
-    println!("wrote results/tracker_fleet.csv");
+    // Cold-start check on the Nth tenant of every fleet: a full walk over
+    // the defined chain must not trap — the adopted lineage encodes it.
+    let sites: Vec<_> = (0..DEPTH).map(|d| def.site(d)).collect();
+    let fns: Vec<_> = (1..=DEPTH).map(|d| def.function(d)).collect();
+    for (name, tracker) in &scenarios[1..] {
+        guard_round(&tracker.register_thread(def.main_fn()), &sites, &fns);
+        let traps = tracker.stats().traps;
+        assert_eq!(
+            traps, 0,
+            "{name}: a shared lineage attaches with zero cold-start traps"
+        );
+    }
+    let (last, nth) = &scenarios[scenarios.len() - 1];
+    let cold_traps = Summary::of(&[nth.stats().traps as f64]);
+
+    let ops = chain_batch(&sites, &fns);
+    let threads: Vec<_> = scenarios
+        .iter()
+        .map(|(_, t)| t.register_thread(def.main_fn()))
+        .collect();
+    let s = plan.measure_each(&vec![plan.work * DEPTH; threads.len()], |i| {
+        for _ in 0..plan.work / ROUNDS_PER_BATCH {
+            threads[i].run_batch(&ops).expect("balanced batch");
+        }
+    });
+    let mut table = Table::new("tracker_fleet.csv", &["scenario", "variant"], &[]);
+    for ((name, _), s) in scenarios.iter().zip(s) {
+        table.row(&[name, "batch"], s, &[]);
+    }
+    table.row(&[last, "cold_traps"], cold_traps, &[]);
+    table.write();
 }

@@ -5,214 +5,41 @@
 //! * `guard` — one RAII [`dacce::tracker::CallGuard`] per call, the
 //!   drop-in instrumentation shape. Every event pays the thread-slot
 //!   lock, snapshot refresh and journal gate.
-//! * `batch` — [`ThreadHandle::run_batch`] over pre-built
-//!   [`BatchOp`] programs. Slot lock, snapshot load and journal gate are
-//!   hoisted out of the per-op loop, which is what the flat dispatch
-//!   table was built for.
+//! * `batch` — [`dacce::tracker::ThreadHandle::run_batch`] over pre-built
+//!   programs. Slot lock, snapshot load and journal gate are hoisted out
+//!   of the per-op loop, which is what the flat dispatch table was built
+//!   for.
 //!
-//! Times itself (the acceptance criterion is a per-op cost, not a
-//! statistical distribution) and writes `results/tracker_scale.csv`;
+//! One op is one call+return pair. Writes `results/tracker_scale.csv`;
 //! compare against `results/tracker_scale_baseline.csv` (the hash-probed
-//! pre-dispatch-table numbers). `DACCE_BENCH_QUICK=1` shrinks the run for
-//! CI smoke jobs.
+//! pre-dispatch-table numbers).
 //!
 //! ```text
 //! cargo bench -p dacce-bench --bench tracker_scale
 //! ```
 
-use std::time::Instant;
-
-use dacce::tracker::{BatchOp, ThreadHandle};
-use dacce::{DacceConfig, Tracker};
-use dacce_callgraph::{CallSiteId, FunctionId};
-
-/// Nesting depth of each round (frames entered then unwound).
-const DEPTH: usize = 4;
-/// Rounds folded into one `run_batch` call (`2 * DEPTH` ops each).
-const ROUNDS_PER_BATCH: usize = 16;
-
-fn quick() -> bool {
-    std::env::var("DACCE_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
-
-/// Call/return pairs ticked per thread per measured iteration. Large
-/// enough to amortize the scoped-thread spawn/join overhead; a multiple
-/// of [`ROUNDS_PER_BATCH`] so both variants do identical work.
-fn rounds_per_iter() -> usize {
-    if quick() {
-        ROUNDS_PER_BATCH * 10
-    } else {
-        ROUNDS_PER_BATCH * 125
-    }
-}
-
-fn iters() -> usize {
-    if quick() {
-        3
-    } else {
-        30
-    }
-}
-
-struct Prepared {
-    tracker: Tracker,
-    handles: Vec<ThreadHandle>,
-    /// Per-thread chain of call sites (distinct static locations).
-    sites: Vec<Vec<CallSiteId>>,
-    depth_fns: Vec<FunctionId>,
-    /// Per-thread pre-built batch program: `ROUNDS_PER_BATCH` rounds of
-    /// `DEPTH` calls then `DEPTH` returns.
-    batches: Vec<Vec<BatchOp>>,
-}
-
-/// Build a tracker whose per-thread edges are already discovered and
-/// encoded, so the measured loop exercises only the encoded fast path.
-fn prepare(threads: usize) -> Prepared {
-    let tracker = Tracker::with_config(DacceConfig {
-        edge_threshold: 1,
-        min_events_between_reencodes: 1,
-        ..DacceConfig::default()
-    });
-    let f_main = tracker.define_function("main");
-    let worker_fns: Vec<FunctionId> = (0..threads)
-        .map(|i| tracker.define_function(&format!("worker{i}")))
-        .collect();
-    let depth_fns: Vec<FunctionId> = (0..DEPTH)
-        .map(|i| tracker.define_function(&format!("level{i}")))
-        .collect();
-    let spawn_site = tracker.define_call_site();
-    let sites: Vec<Vec<CallSiteId>> = (0..threads)
-        .map(|_| (0..DEPTH).map(|_| tracker.define_call_site()).collect())
-        .collect();
-
-    let main_th = tracker.register_thread(f_main);
-    let handles: Vec<ThreadHandle> = (0..threads)
-        .map(|w| tracker.register_spawned_thread(worker_fns[w], &main_th, spawn_site))
-        .collect();
-
-    // Warm every edge so the re-encoder folds them into the encoding; the
-    // measured loop then never traps.
-    for (w, th) in handles.iter().enumerate() {
-        for _ in 0..4 {
-            let mut guards = Vec::new();
-            for d in 0..DEPTH {
-                guards.push(th.call(sites[w][d], depth_fns[d]));
-            }
-            while let Some(g) = guards.pop() {
-                drop(g);
-            }
-        }
-    }
-
-    let batches: Vec<Vec<BatchOp>> = (0..threads)
-        .map(|w| {
-            let mut ops = Vec::with_capacity(ROUNDS_PER_BATCH * 2 * DEPTH);
-            for _ in 0..ROUNDS_PER_BATCH {
-                for d in 0..DEPTH {
-                    ops.push(BatchOp::Call {
-                        site: sites[w][d],
-                        target: depth_fns[d],
-                    });
-                }
-                for _ in 0..DEPTH {
-                    ops.push(BatchOp::Ret);
-                }
-            }
-            ops
-        })
-        .collect();
-
-    Prepared {
-        tracker,
-        handles,
-        sites,
-        depth_fns,
-        batches,
-    }
-}
-
-fn run_threads_guard(p: &Prepared, rounds: usize) {
-    crossbeam::scope(|scope| {
-        for (w, th) in p.handles.iter().enumerate() {
-            let sites = &p.sites[w];
-            let depth_fns = &p.depth_fns;
-            scope.spawn(move |_| {
-                for _ in 0..rounds {
-                    let mut guards = Vec::new();
-                    for d in 0..DEPTH {
-                        guards.push(th.call(sites[d], depth_fns[d]));
-                    }
-                    while let Some(g) = guards.pop() {
-                        drop(g);
-                    }
-                }
-            });
-        }
-    })
-    .expect("bench threads complete");
-}
-
-fn run_threads_batch(p: &Prepared, rounds: usize) {
-    let calls = rounds / ROUNDS_PER_BATCH;
-    crossbeam::scope(|scope| {
-        for (w, th) in p.handles.iter().enumerate() {
-            let ops = &p.batches[w];
-            scope.spawn(move |_| {
-                for _ in 0..calls {
-                    th.run_batch(ops).expect("balanced batch");
-                }
-            });
-        }
-    })
-    .expect("bench threads complete");
-}
-
-/// Best-of-`iters()` per-op nanoseconds (minimum is the standard noise
-/// rejection for throughput micro-benchmarks). One op = one call+return
-/// pair.
-fn measure(p: &Prepared, threads: usize, run: impl Fn(&Prepared, usize)) -> f64 {
-    let rounds = rounds_per_iter();
-    let ops = (threads * rounds * DEPTH) as f64;
-    let mut best = f64::INFINITY;
-    for _ in 0..iters() {
-        let t0 = Instant::now();
-        run(p, rounds);
-        let ns = t0.elapsed().as_nanos() as f64 / ops;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
+use dacce_bench::harness::{banner, eager_config, Chain, Plan, Table, CHAIN_ROUNDS};
 
 fn main() {
-    let mut csv = String::from("threads,variant,per_op_ns\n");
-    println!("tracker encoded call/return per-op cost (guard vs batch drive)");
-    println!(
-        "{:>8} {:>14} {:>14} {:>9}",
-        "threads", "guard ns/op", "batch ns/op", "speedup"
-    );
-    for &threads in &[1usize, 2, 4, 8] {
-        let p = prepare(threads);
-        let guard = measure(&p, threads, run_threads_guard);
-        let batch = measure(&p, threads, run_threads_batch);
-        // Quietly verify the fast path stayed trap-free while measuring.
-        let stats = p.tracker.stats();
-        assert_eq!(stats.decode_errors, 0);
-
-        println!(
-            "{threads:>8} {guard:>14.2} {batch:>14.2} {:>8.2}x",
-            guard / batch.max(f64::MIN_POSITIVE)
-        );
-        use std::fmt::Write as _;
-        let _ = writeln!(csv, "{threads},guard,{guard:.2}");
-        let _ = writeln!(csv, "{threads},batch,{batch:.2}");
+    banner("tracker encoded call/return per-op cost (guard vs batch drive)");
+    let plan = Plan::new(CHAIN_ROUNDS);
+    let threads = [1usize, 2, 4, 8];
+    let chains: Vec<Chain> = threads
+        .iter()
+        .map(|&t| Chain::new(t, eager_config()))
+        .collect();
+    // Case 2c drives chain c with guards, case 2c+1 with batches.
+    let ops: Vec<usize> = chains.iter().flat_map(|c| [c.ops(plan.work); 2]).collect();
+    let s = plan.measure_each(&ops, |i| match i % 2 {
+        0 => chains[i / 2].drive_guards(plan.work),
+        _ => chains[i / 2].drive_batches(plan.work),
+    });
+    let mut table = Table::new("tracker_scale.csv", &["threads", "variant"], &[]);
+    for (c, chain) in chains.iter().enumerate() {
+        assert_eq!(chain.tracker.stats().decode_errors, 0);
+        let t = threads[c].to_string();
+        table.row(&[&t, "guard"], s[2 * c], &[]);
+        table.row(&[&t, "batch"], s[2 * c + 1], &[]);
     }
-    // `cargo bench` runs with the package as CWD; anchor on the manifest so
-    // the CSV lands in the workspace-root `results/` like every other
-    // artifact.
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results).expect("create results dir");
-    std::fs::write(results.join("tracker_scale.csv"), csv).expect("write tracker_scale.csv");
-    println!("wrote results/tracker_scale.csv");
+    table.write();
 }

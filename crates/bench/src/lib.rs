@@ -2,7 +2,10 @@
 //!
 //! Every binary accepts `--scale <f64>` (default 1.0) to multiply the
 //! benchmark call budgets, `--out <dir>` (default `results/`) for CSV
-//! output, and `--bench <substring>` to restrict the benchmark set.
+//! output, and `--bench <substring>` to restrict the benchmark set. The
+//! wall-clock benches under `benches/` share [`harness`].
+
+pub mod harness;
 
 use std::path::{Path, PathBuf};
 
