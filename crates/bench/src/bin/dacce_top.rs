@@ -267,13 +267,8 @@ fn main() {
             write_creating_dirs(path, &events_to_json(&batch.events));
         }
         if let Some(path) = &opts.postmortem_out {
-            match rt.engine().postmortem() {
-                Some(dump) => write_creating_dirs(path, dump),
-                None => {
-                    eprintln!("dacce-top: --postmortem-out: no dump (obs feature off?)");
-                    std::process::exit(1);
-                }
-            }
+            let dump = rt.engine().postmortem().expect("captured or forced above");
+            write_creating_dirs(path, dump);
         }
         std::process::exit(i32::from(!ok));
     }

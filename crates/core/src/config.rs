@@ -2,6 +2,18 @@
 
 use crate::fault::FaultPlan;
 
+/// ccStack depth at which a new per-thread high-water mark is journaled as
+/// a `CcOverflow` event (observability only; no behaviour changes).
+pub const JOURNAL_OVERFLOW_WATERMARK: u32 = 48;
+
+/// Seed for the per-thread profiler sampling jitter (xorshifted with the
+/// thread id, so threads decorrelate but runs stay reproducible).
+pub const PROFILER_SEED: u64 = 0x5eed;
+
+/// Budget of the profiler's adaptive rate controller: max samples per
+/// 16-stride window before a thread's effective stride backs off.
+pub const PROFILER_BUDGET: u64 = 64;
+
 /// When recursion compression (Figure 5e of the paper) is applied to back
 /// edges.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,23 +80,12 @@ pub struct DacceConfig {
     /// memory on long runs).
     pub keep_sample_log: bool,
     /// Per-producer event-journal ring capacity (rounded up to a power of
-    /// two). Only read when the `obs` feature is compiled in; the journal
-    /// additionally has a runtime enable flag and starts disabled.
+    /// two). The journal has a runtime enable flag and starts disabled.
     pub journal_ring_capacity: usize,
-    /// ccStack depth at which a new per-thread high-water mark is journaled
-    /// as an overflow event (observability only; no behaviour changes).
-    pub journal_overflow_watermark: u32,
     /// Continuous-profiler base sampling stride in call events (jittered
     /// per thread); 0 disables the profiler entirely. A prime default
     /// avoids phase-locking with power-of-two loop bodies.
     pub profiler_stride: u64,
-    /// Seed for the per-thread sampling jitter (xorshifted with the
-    /// thread id, so threads decorrelate but runs stay reproducible).
-    pub profiler_seed: u64,
-    /// Budget of the adaptive rate controller: max samples per
-    /// 16-stride window before a thread's effective stride backs off;
-    /// 0 leaves the rate fixed.
-    pub profiler_budget: u64,
     /// Let re-encoding's hottest-incoming-edge ordering consume sampled
     /// hotness (weighted profiler captures) in addition to trap counts.
     /// Off by default so the paper-faithful trap-driven behaviour stays
@@ -127,10 +128,7 @@ impl Default for DacceConfig {
             sample_ring: 256,
             keep_sample_log: false,
             journal_ring_capacity: 4096,
-            journal_overflow_watermark: 48,
             profiler_stride: 509,
-            profiler_seed: 0x5eed,
-            profiler_budget: 64,
             profiler_feedback: false,
             superops_enabled: true,
             superop_max_window: 48,

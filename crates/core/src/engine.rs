@@ -290,7 +290,7 @@ impl DacceEngine {
     /// Forces a flight-recorder dump now with the given reason. The first
     /// capture wins: a later degradation will not overwrite a forced dump
     /// (nor vice versa). Returns `true` when a postmortem exists after the
-    /// call — `false` only with the `obs` feature compiled out.
+    /// call, which it always does.
     pub fn force_postmortem(&mut self, reason: &str) -> bool {
         self.shared.capture_postmortem(reason);
         self.shared.postmortem.is_some()
@@ -377,8 +377,7 @@ impl DacceEngine {
         &self.shared.config
     }
 
-    /// The observability handle (event journal + metrics registry). With
-    /// the `obs` feature disabled this is an inert placeholder.
+    /// The observability handle (event journal + metrics registry).
     pub fn observability(&self) -> &crate::observe::Observability {
         &self.shared.obs
     }

@@ -23,12 +23,14 @@
 //! published [`EncodingSnapshot`] and migrates each thread lazily.
 
 use dacce_callgraph::{CallSiteId, DecodeDict, FunctionId, TimeStamp};
+use dacce_obs::{EventKind, JournalWriter, Sampler};
 use dacce_program::runtime::CallDispatch;
 use dacce_program::{ContextPath, CostModel, ThreadId};
 
+use crate::config::{JOURNAL_OVERFLOW_WATERMARK, PROFILER_BUDGET, PROFILER_SEED};
 use crate::context::{EncodedContext, SpawnLink};
 use crate::decode::decode_thread;
-use crate::observe::{ObsWriter, Observability, Sampler};
+use crate::observe::Observability;
 use crate::patch::EdgeAction;
 use crate::shared::{context_fingerprint, EncodingSnapshot, ResolvedSite, SharedState};
 use crate::stats::{DacceStats, StatsShard};
@@ -358,8 +360,8 @@ impl ThreadExec {
             shard: StatsShard::default(),
             sampler: Sampler::new(
                 c.profiler_stride,
-                c.profiler_seed ^ u64::from(tid.raw()),
-                c.profiler_budget,
+                PROFILER_SEED ^ u64::from(tid.raw()),
+                PROFILER_BUDGET,
             ),
             obs: sh.obs.clone(),
             flushed_spills: 0,
@@ -375,7 +377,7 @@ impl ThreadExec {
     pub(crate) fn call(
         &mut self,
         view: &impl EncodingView,
-        writer: &ObsWriter,
+        writer: &JournalWriter,
         site: CallSiteId,
         callee: FunctionId,
         r: ResolvedSite,
@@ -389,10 +391,10 @@ impl ThreadExec {
         }
         if r.action.uses_ccstack() {
             let depth = self.ctx.cc.depth() as u32;
-            writer.cc_push(self.tid.raw(), depth);
-            if depth as usize > prev_max && depth >= writer.watermark() {
-                self.obs.on_cc_overflow();
-                writer.cc_overflow(self.tid.raw(), depth);
+            writer.emit_for(self.tid.raw(), EventKind::CcPush { depth });
+            if depth as usize > prev_max && depth >= JOURNAL_OVERFLOW_WATERMARK {
+                self.obs.metrics().cc_overflows.inc();
+                writer.emit_for(self.tid.raw(), EventKind::CcOverflow { depth });
             }
         }
         cost
@@ -402,7 +404,7 @@ impl ThreadExec {
     /// under generation `ts`. A batch that provably cannot reach the next
     /// sample skips it and advances the sampler once at the end.
     #[inline]
-    pub(crate) fn tick(&mut self, ts: TimeStamp, site: CallSiteId, writer: &ObsWriter) {
+    pub(crate) fn tick(&mut self, ts: TimeStamp, site: CallSiteId, writer: &JournalWriter) {
         if let Some(weight) = self.sampler.tick() {
             self.profile(ts, site, weight, writer);
         }
@@ -417,7 +419,7 @@ impl ThreadExec {
     pub(crate) fn ret(
         &mut self,
         view: &impl EncodingView,
-        writer: &ObsWriter,
+        writer: &JournalWriter,
         site: CallSiteId,
         caller: FunctionId,
         callee: FunctionId,
@@ -429,7 +431,8 @@ impl ThreadExec {
         });
         let cost = exec_ret(view, &mut self.ctx, site, caller, action);
         if action.uses_ccstack() {
-            writer.cc_pop(self.tid.raw(), self.ctx.cc.depth() as u32);
+            let depth = self.ctx.cc.depth() as u32;
+            writer.emit_for(self.tid.raw(), EventKind::CcPop { depth });
         }
         cost
     }
@@ -441,7 +444,7 @@ impl ThreadExec {
     pub(crate) fn migrate(
         &mut self,
         view: &impl EncodingView,
-        writer: &ObsWriter,
+        writer: &JournalWriter,
         old: &DecodeDict,
     ) {
         let (c, owner) = (&self.ctx, view.site_owner());
@@ -449,8 +452,9 @@ impl ThreadExec {
             Ok(path) => replay(view, &mut self.ctx, &path),
             Err(_) => self.shard.decode_errors += 1,
         }
-        self.obs.on_migration();
-        writer.migration(self.tid.raw(), old.timestamp().raw(), view.ts().raw());
+        self.obs.metrics().migrations.inc();
+        let (from, to) = (old.timestamp().raw(), view.ts().raw());
+        writer.emit_for(self.tid.raw(), EventKind::Migration { from, to });
     }
 
     /// The thread's current encoded context, stamped with `ts` — the
@@ -481,24 +485,24 @@ impl ThreadExec {
     /// A continuous-profiler sample fired: counts it (weighted by the call
     /// events since the previous one), journals a `Sample` event and queues
     /// it for the shared profiler ring.
-    fn profile(&mut self, ts: TimeStamp, site: CallSiteId, weight: u64, writer: &ObsWriter) {
+    fn profile(&mut self, ts: TimeStamp, site: CallSiteId, weight: u64, writer: &JournalWriter) {
         let snap = self.snapshot(ts);
         self.shard.profiler_samples += 1;
         self.shard.profiler_sample_weight += weight;
         self.obs
             .on_profiler_sample(snap.cc_depth() as u32, snap.id, weight);
         if writer.enabled() {
-            writer.sample(
-                self.tid.raw(),
-                snap.ts.raw(),
-                snap.id,
-                site.raw(),
-                snap.leaf.raw(),
-                snap.root.raw(),
-                context_fingerprint(&snap),
-                u32::try_from(weight).unwrap_or(u32::MAX),
-                snap.cc_depth() as u32,
-            );
+            let sample = EventKind::Sample {
+                generation: snap.ts.raw(),
+                id: snap.id,
+                site: site.raw(),
+                leaf: snap.leaf.raw(),
+                root: snap.root.raw(),
+                fingerprint: context_fingerprint(&snap),
+                weight: u32::try_from(weight).unwrap_or(u32::MAX),
+                depth: snap.cc_depth() as u32,
+            };
+            writer.emit_for(self.tid.raw(), sample);
         }
         self.profiled.push((snap, weight));
     }
@@ -529,7 +533,7 @@ impl ThreadExec {
             degraded.cc_spilled_peak = degraded
                 .cc_spilled_peak
                 .max(self.ctx.cc.spilled_peak() as u64);
-            sh.obs.on_cc_spills(delta);
+            sh.obs.metrics().cc_spills.add(delta);
             self.flushed_spills = spills;
         }
     }

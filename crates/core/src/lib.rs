@@ -54,7 +54,6 @@ pub mod fragment;
 pub mod lineage;
 pub mod observe;
 pub mod patch;
-#[cfg(feature = "obs")]
 pub mod postmortem;
 pub mod profile;
 pub mod reencode;

@@ -18,12 +18,15 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use dacce_callgraph::analysis::classify_back_edges;
 use dacce_callgraph::encode::{encode_graph, EncodeOptions, Encoding};
 use dacce_callgraph::{
     CallGraph, CallSiteId, DecodeDict, DictStore, Dispatch, EdgeId, FunctionId, TimeStamp,
 };
+use dacce_obs::profiler::fingerprint64;
+use dacce_obs::{EventKind, GenerationInfo, JournalConfig, JournalWriter};
 use dacce_program::runtime::CallDispatch;
 use dacce_program::{ContextPath, CostModel};
 
@@ -32,7 +35,7 @@ use crate::context::EncodedContext;
 use crate::decode::{decode_full, DecodeError};
 use crate::dispatch::DispatchTable;
 use crate::lineage::{EncodingLineage, LineageState};
-use crate::observe::{self, ObsWriter, Observability};
+use crate::observe::{Observability, RUNTIME_TID};
 use crate::patch::{EdgeAction, IndirectPatch, PatchTable, SitePatch};
 use crate::profile::HotContextProfile;
 use crate::stats::{DacceStats, ProgressPoint};
@@ -146,7 +149,7 @@ pub(crate) struct SharedState {
     /// Journal writer for events emitted under the shared lock (traps,
     /// re-encodes, warm starts) — single-producer because the lock
     /// serialises all such emissions.
-    pub(crate) obs_writer: ObsWriter,
+    pub(crate) obs_writer: JournalWriter,
     /// The shared encoding lineage this instance is attached to, if any.
     pub(crate) lineage: Option<EncodingLineage>,
     /// The lineage generation this instance last adopted or published.
@@ -175,11 +178,10 @@ pub(crate) struct SharedState {
 impl SharedState {
     pub(crate) fn new(config: DacceConfig, cost: CostModel) -> Self {
         let cur_min_events = config.min_events_between_reencodes;
-        let obs = Observability::from_settings(
-            config.journal_ring_capacity,
-            config.journal_overflow_watermark,
-        );
-        let obs_writer = obs.writer(u32::MAX);
+        let obs = Observability::with_config(JournalConfig {
+            ring_capacity: config.journal_ring_capacity,
+        });
+        let obs_writer = obs.journal().writer(RUNTIME_TID);
         let mut dispatch = DispatchTable::new();
         dispatch.set_slot_cap(config.fault.dispatch_slot_cap);
         SharedState {
@@ -249,13 +251,20 @@ impl SharedState {
             edges: self.graph.edge_count(),
             max_id: self.max_id,
         });
-        self.obs.record_generation(
-            self.ts.raw(),
-            self.graph.node_count() as u32,
-            self.graph.edge_count() as u32,
-            self.max_id,
-            0,
-        );
+        self.record_generation(0);
+    }
+
+    /// Records the current generation's dictionary row (graph size,
+    /// `maxID` and the `cost` of the encoding that produced it) in the
+    /// metrics registry.
+    pub(crate) fn record_generation(&self, cost: u64) {
+        self.obs.metrics().record_generation(GenerationInfo {
+            generation: self.ts.raw(),
+            nodes: self.graph.node_count() as u32,
+            edges: self.graph.edge_count() as u32,
+            max_id: self.max_id,
+            cost,
+        });
     }
 
     /// Adds a (thread) root function to the graph and root set.
@@ -306,7 +315,7 @@ impl SharedState {
         dispatch: CallDispatch,
         tail: bool,
     ) -> (EdgeAction, Option<FunctionId>) {
-        let timer = observe::start_timer();
+        let start = Instant::now();
         self.stats.traps += 1;
         let prev_owner = Arc::make_mut(&mut self.site_owner).insert(site, caller);
         debug_assert!(
@@ -334,7 +343,7 @@ impl SharedState {
         if self.stats.degraded.active {
             self.stats.degraded.note_trap_node(callee.raw());
             self.stats.degraded.degraded_traps += 1;
-            self.obs.on_degraded_trap();
+            self.obs.metrics().degraded_traps.inc();
         }
 
         // §5.2: the first tail call inside `caller` reveals that `caller`'s
@@ -387,24 +396,41 @@ impl SharedState {
         self.superops_dirty = true;
         self.sync_slot_failures();
         let (occupied, span) = self.dispatch.occupancy();
-        self.obs.record_dispatch(occupied, span);
+        let metrics = self.obs.metrics();
+        metrics.record_dispatch(occupied, span);
 
-        self.obs.on_trap(timer.elapsed_ns());
-        self.obs.on_site_patched();
+        let trap_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.obs.on_trap(trap_ns);
+        metrics.sites_patched.inc();
         if is_new {
-            self.obs.on_edge_discovered();
+            metrics.edges_discovered.inc();
         }
-        if self.obs_writer.enabled() {
-            let (s, cr, ce) = (site.raw(), caller.raw(), callee.raw());
-            self.obs_writer.trap(tid, s, cr, ce);
-            if is_new {
-                self.obs_writer.edge_discovered(tid, s, cr, ce);
-            }
+        let w = &self.obs_writer;
+        if w.enabled() {
             let targets = match &self.patches.get(site).expect("site patched above").patch {
                 SitePatch::Indirect(p) => p.target_count() as u32,
                 _ => 1,
             };
-            self.obs_writer.site_patched(tid, s, targets);
+            let (site, caller, callee) = (site.raw(), caller.raw(), callee.raw());
+            w.emit_for(
+                tid,
+                EventKind::Trap {
+                    site,
+                    caller,
+                    callee,
+                },
+            );
+            if is_new {
+                w.emit_for(
+                    tid,
+                    EventKind::EdgeDiscovered {
+                        site,
+                        caller,
+                        callee,
+                    },
+                );
+            }
+            w.emit_for(tid, EventKind::SitePatched { site, targets });
         }
         (action, newly_tail)
     }
@@ -474,14 +500,17 @@ impl SharedState {
     /// Captures a flight-recorder postmortem (first trigger wins): peeks
     /// the journal without consuming it, stitches the recent re-encode
     /// spans and renders the versioned dump document. A no-op when a dump
-    /// was already captured or observability is compiled out.
+    /// was already captured.
     pub(crate) fn capture_postmortem(&mut self, reason: &str) {
         if self.postmortem.is_some() {
             return;
         }
-        self.postmortem =
-            self.obs
-                .render_postmortem(reason, self.ts.raw(), self.max_id, &self.stats.degraded);
+        self.postmortem = Some(self.obs.render_postmortem(
+            reason,
+            self.ts.raw(),
+            self.max_id,
+            &self.stats.degraded,
+        ));
     }
 
     /// Decodes an encoded context against the recorded dictionaries.
@@ -496,7 +525,7 @@ impl SharedState {
         let total = self.dispatch.slot_failures();
         let prev = self.stats.degraded.slot_failures;
         if total > prev {
-            self.obs.on_slot_failures(total - prev);
+            self.obs.metrics().slot_failures.add(total - prev);
             self.stats.degraded.slot_failures = total;
         }
     }
@@ -684,7 +713,9 @@ impl SharedState {
         let cost = self.graph.edge_count() as u64 * self.cost.reencode_per_edge;
         self.stats.reencodes += 1;
         self.stats.reencode_cost += cost;
-        self.obs_writer.reencode_begin(self.ts.raw());
+        let generation = self.ts.raw();
+        self.obs_writer
+            .emit(EventKind::ReencodeBegin { generation });
 
         self.heat_from_ring();
         if self.config.profiler_feedback {
@@ -727,13 +758,19 @@ impl SharedState {
                 // trigger with one extra (capped) backoff step so the
                 // retry is exponential, not immediate.
                 self.stats.degraded.reencode_retries += 1;
-                self.obs.on_reencode_retry();
+                self.obs.metrics().reencode_retries.inc();
                 let next = (self.cur_min_events as f64 * self.config.reencode_backoff) as u64;
                 self.cur_min_events = next.min(self.config.reencode_interval_cap);
             }
             self.obs.on_reencode(false, cost);
-            self.obs_writer
-                .reencode_end(self.ts.raw(), false, cost, 0, 0, 0);
+            self.obs_writer.emit(EventKind::ReencodeEnd {
+                generation: self.ts.raw(),
+                applied: false,
+                cost,
+                nodes: 0,
+                edges: 0,
+                max_id: 0,
+            });
             // Flight recorder: the aborted span is in the journal now, so
             // the postmortem's span timeline includes this very abort.
             self.capture_postmortem(if exhausted {
@@ -776,21 +813,15 @@ impl SharedState {
         }
 
         self.obs.on_reencode(true, cost);
-        self.obs.record_generation(
-            self.ts.raw(),
-            self.graph.node_count() as u32,
-            self.graph.edge_count() as u32,
-            self.max_id,
+        self.record_generation(cost);
+        self.obs_writer.emit(EventKind::ReencodeEnd {
+            generation: self.ts.raw(),
+            applied: true,
             cost,
-        );
-        self.obs_writer.reencode_end(
-            self.ts.raw(),
-            true,
-            cost,
-            self.graph.node_count() as u32,
-            self.graph.edge_count() as u32,
-            self.max_id,
-        );
+            nodes: self.graph.node_count() as u32,
+            edges: self.graph.edge_count() as u32,
+            max_id: self.max_id,
+        });
 
         (ReencodeOutcome::Applied, cost)
     }
@@ -819,7 +850,7 @@ impl SharedState {
             self.diverged = true;
             self.stats.lineage_divergences += 1;
             lineage.note_divergence();
-            self.obs.on_lineage_diverge();
+            self.obs.metrics().lineage_divergences.inc();
         }
     }
 
@@ -890,13 +921,7 @@ impl SharedState {
             edges: self.graph.edge_count(),
             max_id: self.max_id,
         });
-        self.obs.record_generation(
-            self.ts.raw(),
-            self.graph.node_count() as u32,
-            self.graph.edge_count() as u32,
-            self.max_id,
-            0,
-        );
+        self.record_generation(0);
     }
 
     /// Adopts the latest lineage generation if one was published past the
@@ -915,7 +940,7 @@ impl SharedState {
         }
         self.adopt_lineage_state(&state);
         self.stats.lineage_adoptions += 1;
-        self.obs.on_lineage_adopt();
+        self.obs.metrics().lineage_adoptions.inc();
         true
     }
 
@@ -939,14 +964,14 @@ impl SharedState {
             drop(guard);
             self.adopt_lineage_state(&state);
             self.stats.lineage_adoptions += 1;
-            self.obs.on_lineage_adopt();
+            self.obs.metrics().lineage_adoptions.inc();
             return LineageReencode::Adopted;
         }
         let (outcome, cost) = self.reencode_core();
         if matches!(outcome, ReencodeOutcome::Applied) && !self.diverged {
             self.lineage_gen = lineage.publish_into(&mut guard, self.export_lineage_state());
             self.stats.lineage_publishes += 1;
-            self.obs.on_lineage_publish();
+            self.obs.metrics().lineage_publishes.inc();
         }
         LineageReencode::Local(outcome, cost)
     }
@@ -1032,7 +1057,7 @@ impl SharedState {
         self.superops_dirty = true;
         self.sync_slot_failures();
         let (occupied, span) = self.dispatch.occupancy();
-        self.obs.record_dispatch(occupied, span);
+        self.obs.metrics().record_dispatch(occupied, span);
     }
 
     /// Freezes the current encoding into an immutable snapshot for
@@ -1043,13 +1068,13 @@ impl SharedState {
     /// can never carry superops folded under a stale encoding.
     pub(crate) fn snapshot(&mut self) -> EncodingSnapshot {
         self.stats.superop_republishes += 1;
-        self.obs.on_superop_republish();
+        self.obs.metrics().superop_republishes.inc();
         if self.superops_dirty {
             self.superops_dirty = false;
             let dropped = self.superops.len();
             if dropped > 0 {
                 self.stats.superop_invalidations += dropped as u64;
-                self.obs.on_superop_invalidations(dropped as u64);
+                self.obs.metrics().superop_invalidations.add(dropped as u64);
             }
             let table = if self.config.superops_enabled && !self.superop_candidates.is_empty() {
                 SuperOpTable::compile(
@@ -1064,6 +1089,7 @@ impl SharedState {
             };
             self.stats.superop_compiled = table.len() as u64;
             self.obs
+                .metrics()
                 .record_superops(table.len() as u64, self.superop_candidates.len() as u64);
             self.superops = Arc::new(table);
         }
@@ -1149,7 +1175,7 @@ pub(crate) struct ResolvedSite {
 /// with each profiler sample so offline consumers can tell distinct deep
 /// contexts apart even when only the fixed-width wire record survives.
 pub(crate) fn context_fingerprint(snap: &EncodedContext) -> u32 {
-    observe::fingerprint64(std::iter::once(snap.id).chain(snap.cc.iter().flat_map(|e| {
+    fingerprint64(std::iter::once(snap.id).chain(snap.cc.iter().flat_map(|e| {
         [
             e.id,
             (u64::from(e.site.raw()) << 32) | u64::from(e.target.raw()),

@@ -45,16 +45,17 @@ use std::sync::Arc;
 use crate::sync::{protocol, AtomicU32, AtomicU64, Mutex, Ordering};
 
 use dacce_callgraph::{CallSiteId, FunctionId};
+use dacce_obs::JournalWriter;
 use dacce_program::runtime::CallDispatch;
 use dacce_program::{ContextPath, CostModel, ThreadId};
 
-use crate::config::DacceConfig;
+use crate::config::{DacceConfig, JOURNAL_OVERFLOW_WATERMARK};
 use crate::context::{EncodedContext, SpawnLink};
 use crate::decode::DecodeError;
 use crate::dispatch::CompiledDispatch;
 use crate::fastpath::{self, ThreadExec};
 use crate::lineage::EncodingLineage;
-use crate::observe::{ObsWriter, Observability};
+use crate::observe::Observability;
 use crate::patch::EdgeAction;
 use crate::profile::HotContextProfile;
 use crate::shared::{EncodingSnapshot, ResolvedSite, SharedState};
@@ -73,7 +74,7 @@ const EVENT_BATCH: u64 = 64;
 struct ThreadState {
     exec: ThreadExec,
     /// This thread's journal writer (its own event ring; lock-free).
-    writer: ObsWriter,
+    writer: JournalWriter,
     /// The published snapshot `exec.ctx` is encoded under: the context
     /// always decodes against `snap.ts`'s dictionary.
     snap: Arc<EncodingSnapshot>,
@@ -210,7 +211,7 @@ impl TrackerInner {
         let n = self.slow_locks.fetch_add(1, Ordering::Relaxed);
         if sh.config.fault.poisons_acquisition(n) {
             sh.stats.degraded.lock_poisonings += 1;
-            sh.obs.on_lock_poison();
+            sh.obs.metrics().lock_poisonings.inc();
             true
         } else {
             false
@@ -268,8 +269,7 @@ impl Tracker {
         }
     }
 
-    /// The observability handle (event journal + metrics registry). With
-    /// the `obs` feature disabled this is an inert placeholder.
+    /// The observability handle (event journal + metrics registry).
     pub fn observability(&self) -> &Observability {
         &self.inner.obs
     }
@@ -477,7 +477,7 @@ impl Tracker {
             tid,
             state: Mutex::new(ThreadState {
                 exec: ThreadExec::new(tid, root, spawn, &sh),
-                writer: self.inner.obs.writer(tid.raw()),
+                writer: self.inner.obs.journal().writer(tid.raw()),
                 snap,
                 batch_events: 0,
                 published: Published::default(),
@@ -598,7 +598,7 @@ impl Tracker {
     /// Forces a flight-recorder dump now with the given reason. The first
     /// capture wins: a later degradation will not overwrite a forced dump
     /// (nor vice versa). Returns `true` when a postmortem exists after the
-    /// call — `false` only with the `obs` feature compiled out.
+    /// call, which it always does.
     pub fn force_postmortem(&self, reason: &str) -> bool {
         let mut sh = self.inner.shared.lock();
         sh.capture_postmortem(reason);
@@ -769,7 +769,7 @@ impl ThreadHandle {
                                     || !(obs_on
                                         || cc.spill_armed()
                                         || (peak > cc.max_depth()
-                                            && peak as u32 >= st.writer.watermark()));
+                                            && peak as u32 >= JOURNAL_OVERFLOW_WATERMARK));
                                 if admit {
                                     let len = so.window.len();
                                     st.exec.ctx.cc.apply_bulk(so.cc_ops, peak);
@@ -1296,18 +1296,17 @@ mod tests {
         let main_th = tracker.register_thread(main_fn);
         let _in_dispatch = main_th.call(dispatch, worker_fn);
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let t = &tracker;
             let main_th = &main_th;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let th = t.register_spawned_thread(worker_fn, main_th, spawn_site);
                 let _g = th.call(job_site, job);
                 let path = t.decode(&th.sample()).unwrap();
                 // Full context crosses the thread boundary.
                 assert_eq!(t.format_path(&path), "main -> worker -> worker -> job");
             });
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -1455,11 +1454,11 @@ mod tests {
         const THREADS: usize = 8;
         const PER_THREAD: usize = 200;
         let mut all: Vec<(FunctionId, String)> = Vec::new();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut joins = Vec::new();
             for t in 0..THREADS {
                 let tr = tracker.clone();
-                joins.push(scope.spawn(move |_| {
+                joins.push(scope.spawn(move || {
                     let mut pairs = Vec::with_capacity(PER_THREAD);
                     for i in 0..PER_THREAD {
                         let name = format!("fn_{t}_{i}");
@@ -1472,8 +1471,7 @@ mod tests {
             for j in joins {
                 all.extend(j.join().unwrap());
             }
-        })
-        .unwrap();
+        });
         assert_eq!(all.len(), THREADS * PER_THREAD);
         // Ids are unique...
         let mut ids: Vec<u32> = all.iter().map(|(id, _)| id.index() as u32).collect();

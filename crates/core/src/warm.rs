@@ -18,6 +18,7 @@ use std::sync::Arc;
 use dacce_callgraph::analysis::classify_back_edges;
 use dacce_callgraph::encode::{encode_graph, EncodeOptions};
 use dacce_callgraph::{CallSiteId, DecodeDict, Dispatch, FunctionId, TimeStamp};
+use dacce_obs::EventKind;
 
 use crate::shared::SharedState;
 use crate::stats::ProgressPoint;
@@ -202,18 +203,12 @@ impl SharedState {
             };
             self.obs
                 .on_warm_start(report.seeded_edges as u64, report.pruned_edges as u64);
-            self.obs.record_generation(
-                self.ts.raw(),
-                self.graph.node_count() as u32,
-                self.graph.edge_count() as u32,
-                self.max_id,
-                0,
-            );
-            self.obs_writer.warm_seed(
-                report.seeded_edges as u32,
-                report.pruned_edges as u32,
-                self.max_id,
-            );
+            self.record_generation(0);
+            self.obs_writer.emit(EventKind::WarmSeed {
+                seeded: report.seeded_edges as u32,
+                pruned: report.pruned_edges as u32,
+                max_id: self.max_id,
+            });
             self.warm_fingerprint = Some((fingerprint, report));
             return report;
         }

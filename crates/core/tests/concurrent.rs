@@ -71,14 +71,14 @@ fn decode_stays_correct_during_concurrent_reencodes() {
     let writer_fn = tracker.define_function("writer");
     let writer_spawn = tracker.define_call_site();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let tracker = &tracker;
         let main_th = &main_th;
         // Readers: walk their chain to a random depth, decode at the
         // deepest point and after each unwind step, and compare with the
         // path they actually took.
         for (r, (worker, spawn_site, chain)) in chains.iter().enumerate() {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let th = tracker.register_spawned_thread(*worker, main_th, *spawn_site);
                 let mut rng = Rng(0x9e37_79b9 + r as u64);
                 let prefix = format!("main -> reader{r}");
@@ -106,7 +106,7 @@ fn decode_stays_correct_during_concurrent_reencodes() {
         }
         // Writer: keeps discovering new edges, each trap re-evaluating the
         // triggers under the shared lock and republishing the encoding.
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             let th = tracker.register_spawned_thread(writer_fn, main_th, writer_spawn);
             for i in 0..WRITER_TRAPS {
                 let f = tracker.define_function(&format!("hot{i}"));
@@ -119,8 +119,7 @@ fn decode_stays_correct_during_concurrent_reencodes() {
                 );
             }
         });
-    })
-    .unwrap();
+    });
 
     let stats = tracker.stats();
     assert_eq!(stats.decode_errors, 0, "no decode may ever fail");
@@ -189,11 +188,11 @@ fn inline_cache_stays_generation_safe_during_reencodes() {
     let writer_fn = tracker.define_function("writer");
     let writer_spawn = tracker.define_call_site();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let tracker = &tracker;
         let main_th = &main_th;
         for (r, (worker, spawn_site, chain)) in chains.iter().enumerate() {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let th = tracker.register_spawned_thread(*worker, main_th, *spawn_site);
                 let mut rng = Rng(0xdead_beef + r as u64);
                 let prefix = format!("main -> reader{r}");
@@ -241,7 +240,7 @@ fn inline_cache_stays_generation_safe_during_reencodes() {
                 }
             });
         }
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             let th = tracker.register_spawned_thread(writer_fn, main_th, writer_spawn);
             for i in 0..WRITER_TRAPS {
                 let f = tracker.define_function(&format!("hot{i}"));
@@ -254,8 +253,7 @@ fn inline_cache_stays_generation_safe_during_reencodes() {
                 );
             }
         });
-    })
-    .unwrap();
+    });
 
     tracker
         .check_invariants()

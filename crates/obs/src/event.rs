@@ -8,105 +8,204 @@
 //! - a fixed array of `u64` words (`WORDS` per record) so the lock-free
 //!   ring buffer can store them in plain atomics, and
 //! - one flat JSON object per event for export / replay.
+//!
+//! Both codecs are derived from the one table in the `event_kinds!`
+//! invocation below: each kind's name, and each field's name (in JSON
+//! order), type and width in ring bits.
 
 /// Number of `u64` words a serialised [`EventRecord`] occupies in a ring
-/// slot: tag+tid packed, seq, nanos, and four payload words.
-pub(crate) const WORDS: usize = 7;
+/// slot: tag+tid packed, seq, nanos, and the payload words.
+pub(crate) const WORDS: usize = 3 + PAYLOAD_WORDS;
 
-/// A typed runtime lifecycle event.
-///
-/// Variants mirror the DACCE state machine: cold-start traps, call-site
-/// patching, edge discovery, adaptive re-encoding under `gTimeStamp`,
-/// ccStack traffic, lazy cross-generation migration, and warm-start
-/// seeding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
+/// Ring words that carry an event's fields.
+const PAYLOAD_WORDS: usize = 4;
+
+/// Most fields any kind has.
+const MAX_FIELDS: usize = 8;
+
+/// An [`EventKind`] field type: widened to `u64` for both codecs and
+/// narrowed back on decode.
+trait Field: Sized {
+    fn widen(self) -> u64;
+    fn narrow(v: u64) -> Option<Self>;
+}
+
+impl Field for u32 {
+    fn widen(self) -> u64 {
+        u64::from(self)
+    }
+    fn narrow(v: u64) -> Option<u32> {
+        u32::try_from(v).ok()
+    }
+}
+
+impl Field for u64 {
+    fn widen(self) -> u64 {
+        self
+    }
+    fn narrow(v: u64) -> Option<u64> {
+        Some(v)
+    }
+}
+
+impl Field for bool {
+    fn widen(self) -> u64 {
+        u64::from(self)
+    }
+    fn narrow(v: u64) -> Option<bool> {
+        Some(v != 0)
+    }
+}
+
+fn narrow<T: Field>(key: &str, v: u64) -> Result<T, String> {
+    T::narrow(v).ok_or_else(|| format!("field `{key}` overflows {}", std::any::type_name::<T>()))
+}
+
+/// Declares [`EventKind`] together with `NAMES` (each kind's name),
+/// `FIELDS` (each kind's `(field, ring bits)` list, in JSON order), and the
+/// conversions between a kind and its index plus field values. A field
+/// narrower in the ring than its type saturates there.
+macro_rules! event_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident = $name:literal {
+            $( $(#[$fdoc:meta])* $field:ident: $ty:ty = $bits:literal, )*
+        }
+    )*) => {
+        /// A typed runtime lifecycle event.
+        ///
+        /// Variants mirror the DACCE state machine: cold-start traps,
+        /// call-site patching, edge discovery, adaptive re-encoding under
+        /// `gTimeStamp`, ccStack traffic, lazy cross-generation migration,
+        /// warm-start seeding and profiler samples.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum EventKind {
+            $( $(#[$doc])* $kind { $( $(#[$fdoc])* $field: $ty, )* }, )*
+        }
+
+        /// Kind indices, in declaration order.
+        enum Tag { $( $kind, )* }
+
+        const NAMES: &[&str] = &[ $( $name, )* ];
+
+        const FIELDS: &[&[(&str, u32)]] = &[ $( &[ $( (stringify!($field), $bits), )* ], )* ];
+
+        impl EventKind {
+            /// The kind's index and its field values, widened.
+            fn values(&self) -> (usize, [u64; MAX_FIELDS]) {
+                let mut out = [0; MAX_FIELDS];
+                let tag = match *self {
+                    $( EventKind::$kind { $( $field, )* } => {
+                        for (slot, v) in out.iter_mut().zip([$( Field::widen($field), )*]) {
+                            *slot = v;
+                        }
+                        Tag::$kind
+                    } )*
+                };
+                (tag as usize, out)
+            }
+
+            /// Builds kind `index` from its field values, in field order.
+            fn from_values(index: usize, values: &[u64]) -> Result<EventKind, String> {
+                let mut next = values.iter().copied();
+                $( if index == Tag::$kind as usize {
+                    return Ok(EventKind::$kind { $(
+                        $field: narrow(stringify!($field), next.next().unwrap_or(0))?,
+                    )* });
+                } )*
+                Err(format!("unknown event index {index}"))
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A call site trapped into the runtime handler (first execution of
     /// an edge, or an unpatched indirect target).
-    Trap {
+    Trap = "trap" {
         /// Call-site identifier.
-        site: u32,
+        site: u32 = 32,
         /// Caller function id.
-        caller: u32,
+        caller: u32 = 32,
         /// Callee function id.
-        callee: u32,
-    },
+        callee: u32 = 32,
+    }
     /// A call site was (re)patched; `targets` is the number of callee
     /// targets the site dispatches to after patching.
-    SitePatched {
+    SitePatched = "site_patched" {
         /// Call-site identifier.
-        site: u32,
+        site: u32 = 32,
         /// Number of distinct targets the patched site now covers.
-        targets: u32,
-    },
+        targets: u32 = 32,
+    }
     /// A never-before-seen call edge was added to the dynamic call graph.
-    EdgeDiscovered {
+    EdgeDiscovered = "edge_discovered" {
         /// Call-site identifier through which the edge was observed.
-        site: u32,
+        site: u32 = 32,
         /// Caller function id.
-        caller: u32,
+        caller: u32 = 32,
         /// Callee function id.
-        callee: u32,
-    },
+        callee: u32 = 32,
+    }
     /// An adaptive re-encode started; `generation` is the `gTimeStamp`
     /// in force while the new encoding is computed.
-    ReencodeBegin {
+    ReencodeBegin = "reencode_begin" {
         /// Generation (timestamp) being superseded.
-        generation: u32,
-    },
+        generation: u32 = 32,
+    }
     /// A re-encode finished. `applied` is false when the attempt was
     /// aborted (e.g. encoding overflow) and the old generation stays
     /// live.
-    ReencodeEnd {
+    ReencodeEnd = "reencode_end" {
         /// Generation in force after the attempt (new one when applied,
         /// the old one when aborted).
-        generation: u32,
+        generation: u32 = 32,
         /// Whether the new encoding was published.
-        applied: bool,
+        applied: bool = 1,
         /// Abstract cost charged for the attempt.
-        cost: u64,
+        cost: u64 = 64,
         /// Nodes in the encoded graph.
-        nodes: u32,
+        nodes: u32 = 32,
         /// Edges in the encoded graph.
-        edges: u32,
+        edges: u32 = 32,
         /// Maximum context id of the new encoding (0 when aborted).
-        max_id: u64,
-    },
+        max_id: u64 = 64,
+    }
     /// A value was pushed on a thread's ccStack; `depth` is the stack
     /// depth after the push.
-    CcPush {
+    CcPush = "cc_push" {
         /// ccStack depth after the push.
-        depth: u32,
-    },
+        depth: u32 = 32,
+    }
     /// A value was popped from a thread's ccStack; `depth` is the stack
     /// depth after the pop.
-    CcPop {
+    CcPop = "cc_pop" {
         /// ccStack depth after the pop.
-        depth: u32,
-    },
+        depth: u32 = 32,
+    }
     /// A thread's ccStack reached a new high-water depth at or above the
-    /// configured watermark.
-    CcOverflow {
+    /// overflow watermark.
+    CcOverflow = "cc_overflow" {
         /// The record depth that crossed the watermark.
-        depth: u32,
-    },
+        depth: u32 = 32,
+    }
     /// A thread lazily migrated its context from one encoding generation
     /// to a newer one.
-    Migration {
+    Migration = "migration" {
         /// Generation the thread was encoded under.
-        from: u32,
+        from: u32 = 32,
         /// Generation the thread re-encoded into.
-        to: u32,
-    },
+        to: u32 = 32,
+    }
     /// A warm-start seed was applied before execution began.
-    WarmSeed {
+    WarmSeed = "warm_seed" {
         /// Edges seeded into the call graph.
-        seeded: u32,
+        seeded: u32 = 32,
         /// Seed edges pruned to stay within the id budget.
-        pruned: u32,
+        pruned: u32 = 32,
         /// Maximum context id after seeding.
-        max_id: u64,
-    },
+        max_id: u64 = 64,
+    }
     /// The continuous profiler captured one encoded-context sample.
     ///
     /// Carries everything an *offline* decode needs when the ccStack was
@@ -115,203 +214,76 @@ pub enum EventKind {
     /// captures still journal the fingerprint for correlation, but only
     /// the in-process profile (which holds the full ccStack) decodes
     /// them exactly.
-    Sample {
+    Sample = "sample" {
         /// Encoding generation (`gTimeStamp`) at capture time.
-        generation: u32,
+        generation: u32 = 32,
         /// The encoded context identifier.
-        id: u64,
+        id: u64 = 64,
         /// Call-site identifier of the sampled call (the sample trigger).
-        site: u32,
+        site: u32 = 32,
         /// Function executing at capture time.
-        leaf: u32,
+        leaf: u32 = 32,
         /// The thread's root function.
-        root: u32,
+        root: u32 = 32,
         /// FNV-style fingerprint of the ccStack content.
-        fingerprint: u32,
+        fingerprint: u32 = 32,
         /// Cost units the sample represents (events skipped since the
         /// previous sample, i.e. the effective stride). Saturates at
         /// `u16::MAX` in the wire encoding.
-        weight: u32,
+        weight: u32 = 16,
         /// ccStack depth at capture time. Saturates at `u16::MAX`.
-        depth: u32,
-    },
+        depth: u32 = 16,
+    }
 }
 
-const TAG_TRAP: u64 = 1;
-const TAG_SITE_PATCHED: u64 = 2;
-const TAG_EDGE_DISCOVERED: u64 = 3;
-const TAG_REENCODE_BEGIN: u64 = 4;
-const TAG_REENCODE_END: u64 = 5;
-const TAG_CC_PUSH: u64 = 6;
-const TAG_CC_POP: u64 = 7;
-const TAG_CC_OVERFLOW: u64 = 8;
-const TAG_MIGRATION: u64 = 9;
-const TAG_WARM_SEED: u64 = 10;
-const TAG_SAMPLE: u64 = 11;
+/// Where each field sits in the payload words, `(word, shift)`: every
+/// field goes into the first word with room left, in field order.
+const LAYOUT: [[(usize, u32); MAX_FIELDS]; NAMES.len()] = layout();
+
+const fn layout() -> [[(usize, u32); MAX_FIELDS]; NAMES.len()] {
+    let mut out = [[(0, 0); MAX_FIELDS]; NAMES.len()];
+    let mut k = 0;
+    while k < FIELDS.len() {
+        let fields = FIELDS[k];
+        assert!(fields.len() <= MAX_FIELDS, "raise MAX_FIELDS");
+        let mut used = [0u32; PAYLOAD_WORDS];
+        let mut f = 0;
+        while f < fields.len() {
+            let bits = fields[f].1;
+            let mut w = 0;
+            while used[w] + bits > 64 {
+                w += 1;
+                assert!(w < PAYLOAD_WORDS, "fields overflow the payload words");
+            }
+            out[k][f] = (w, used[w]);
+            used[w] += bits;
+            f += 1;
+        }
+        k += 1;
+    }
+    out
+}
+
+/// The largest value a `bits`-wide ring field holds.
+const fn mask(bits: u32) -> u64 {
+    if bits == 64 {
+        u64::MAX
+    } else {
+        (1 << bits) - 1
+    }
+}
 
 impl EventKind {
     /// Stable lowercase name used in JSON exports and rate tables.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Trap { .. } => "trap",
-            EventKind::SitePatched { .. } => "site_patched",
-            EventKind::EdgeDiscovered { .. } => "edge_discovered",
-            EventKind::ReencodeBegin { .. } => "reencode_begin",
-            EventKind::ReencodeEnd { .. } => "reencode_end",
-            EventKind::CcPush { .. } => "cc_push",
-            EventKind::CcPop { .. } => "cc_pop",
-            EventKind::CcOverflow { .. } => "cc_overflow",
-            EventKind::Migration { .. } => "migration",
-            EventKind::WarmSeed { .. } => "warm_seed",
-            EventKind::Sample { .. } => "sample",
-        }
+        NAMES[self.values().0]
     }
 
     /// All event names, in tag order; used for by-kind tables.
     #[must_use]
     pub fn all_names() -> &'static [&'static str] {
-        &[
-            "trap",
-            "site_patched",
-            "edge_discovered",
-            "reencode_begin",
-            "reencode_end",
-            "cc_push",
-            "cc_pop",
-            "cc_overflow",
-            "migration",
-            "warm_seed",
-            "sample",
-        ]
-    }
-
-    fn tag(&self) -> u64 {
-        match self {
-            EventKind::Trap { .. } => TAG_TRAP,
-            EventKind::SitePatched { .. } => TAG_SITE_PATCHED,
-            EventKind::EdgeDiscovered { .. } => TAG_EDGE_DISCOVERED,
-            EventKind::ReencodeBegin { .. } => TAG_REENCODE_BEGIN,
-            EventKind::ReencodeEnd { .. } => TAG_REENCODE_END,
-            EventKind::CcPush { .. } => TAG_CC_PUSH,
-            EventKind::CcPop { .. } => TAG_CC_POP,
-            EventKind::CcOverflow { .. } => TAG_CC_OVERFLOW,
-            EventKind::Migration { .. } => TAG_MIGRATION,
-            EventKind::WarmSeed { .. } => TAG_WARM_SEED,
-            EventKind::Sample { .. } => TAG_SAMPLE,
-        }
-    }
-
-    fn payload(&self) -> [u64; 4] {
-        match *self {
-            EventKind::Trap {
-                site,
-                caller,
-                callee,
-            }
-            | EventKind::EdgeDiscovered {
-                site,
-                caller,
-                callee,
-            } => [u64::from(site), u64::from(caller), u64::from(callee), 0],
-            EventKind::SitePatched { site, targets } => [u64::from(site), u64::from(targets), 0, 0],
-            EventKind::ReencodeBegin { generation } => [u64::from(generation), 0, 0, 0],
-            EventKind::ReencodeEnd {
-                generation,
-                applied,
-                cost,
-                nodes,
-                edges,
-                max_id,
-            } => [
-                u64::from(generation) | (u64::from(applied) << 32),
-                cost,
-                u64::from(nodes) | (u64::from(edges) << 32),
-                max_id,
-            ],
-            EventKind::CcPush { depth }
-            | EventKind::CcPop { depth }
-            | EventKind::CcOverflow { depth } => [u64::from(depth), 0, 0, 0],
-            EventKind::Migration { from, to } => [u64::from(from), u64::from(to), 0, 0],
-            EventKind::WarmSeed {
-                seeded,
-                pruned,
-                max_id,
-            } => [u64::from(seeded), u64::from(pruned), max_id, 0],
-            EventKind::Sample {
-                generation,
-                id,
-                site,
-                leaf,
-                root,
-                fingerprint,
-                weight,
-                depth,
-            } => [
-                id,
-                u64::from(generation) | (u64::from(site) << 32),
-                u64::from(leaf) | (u64::from(root) << 32),
-                u64::from(fingerprint)
-                    | (u64::from(weight.min(0xffff)) << 32)
-                    | (u64::from(depth.min(0xffff)) << 48),
-            ],
-        }
-    }
-
-    #[allow(clippy::cast_possible_truncation)]
-    fn from_parts(tag: u64, p: [u64; 4]) -> Option<EventKind> {
-        let lo = |w: u64| w as u32;
-        let hi = |w: u64| (w >> 32) as u32;
-        Some(match tag {
-            TAG_TRAP => EventKind::Trap {
-                site: lo(p[0]),
-                caller: lo(p[1]),
-                callee: lo(p[2]),
-            },
-            TAG_SITE_PATCHED => EventKind::SitePatched {
-                site: lo(p[0]),
-                targets: lo(p[1]),
-            },
-            TAG_EDGE_DISCOVERED => EventKind::EdgeDiscovered {
-                site: lo(p[0]),
-                caller: lo(p[1]),
-                callee: lo(p[2]),
-            },
-            TAG_REENCODE_BEGIN => EventKind::ReencodeBegin {
-                generation: lo(p[0]),
-            },
-            TAG_REENCODE_END => EventKind::ReencodeEnd {
-                generation: lo(p[0]),
-                applied: hi(p[0]) != 0,
-                cost: p[1],
-                nodes: lo(p[2]),
-                edges: hi(p[2]),
-                max_id: p[3],
-            },
-            TAG_CC_PUSH => EventKind::CcPush { depth: lo(p[0]) },
-            TAG_CC_POP => EventKind::CcPop { depth: lo(p[0]) },
-            TAG_CC_OVERFLOW => EventKind::CcOverflow { depth: lo(p[0]) },
-            TAG_MIGRATION => EventKind::Migration {
-                from: lo(p[0]),
-                to: lo(p[1]),
-            },
-            TAG_WARM_SEED => EventKind::WarmSeed {
-                seeded: lo(p[0]),
-                pruned: lo(p[1]),
-                max_id: p[2],
-            },
-            TAG_SAMPLE => EventKind::Sample {
-                generation: lo(p[1]),
-                id: p[0],
-                site: hi(p[1]),
-                leaf: lo(p[2]),
-                root: hi(p[2]),
-                fingerprint: lo(p[3]),
-                weight: (p[3] >> 32) as u32 & 0xffff,
-                depth: (p[3] >> 48) as u32,
-            },
-            _ => return None,
-        })
+        NAMES
     }
 }
 
@@ -330,26 +302,32 @@ pub struct EventRecord {
 
 impl EventRecord {
     pub(crate) fn to_words(self) -> [u64; WORDS] {
-        let p = self.kind.payload();
-        [
-            self.kind.tag() | (u64::from(self.tid) << 32),
-            self.seq,
-            self.nanos,
-            p[0],
-            p[1],
-            p[2],
-            p[3],
-        ]
+        let (k, values) = self.kind.values();
+        let mut w = [0; WORDS];
+        // Tags start at 1 so an all-zero slot never decodes.
+        w[0] = (k as u64 + 1) | (u64::from(self.tid) << 32);
+        w[1] = self.seq;
+        w[2] = self.nanos;
+        for (&(_, bits), (&(word, shift), v)) in FIELDS[k].iter().zip(LAYOUT[k].iter().zip(values))
+        {
+            w[3 + word] |= v.min(mask(bits)) << shift;
+        }
+        w
     }
 
     #[allow(clippy::cast_possible_truncation)]
     pub(crate) fn from_words(w: [u64; WORDS]) -> Option<EventRecord> {
-        let kind = EventKind::from_parts(w[0] & 0xffff_ffff, [w[3], w[4], w[5], w[6]])?;
+        let k = ((w[0] & 0xffff_ffff) as usize).checked_sub(1)?;
+        let fields = FIELDS.get(k)?;
+        let mut values = [0; MAX_FIELDS];
+        for ((&(_, bits), &(word, shift)), v) in fields.iter().zip(&LAYOUT[k]).zip(&mut values) {
+            *v = (w[3 + word] >> shift) & mask(bits);
+        }
         Some(EventRecord {
             seq: w[1],
             nanos: w[2],
             tid: (w[0] >> 32) as u32,
-            kind,
+            kind: EventKind::from_values(k, &values[..fields.len()]).ok()?,
         })
     }
 
@@ -357,14 +335,12 @@ impl EventRecord {
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
+        let (k, values) = self.kind.values();
         let mut s = format!(
             "{{\"seq\":{},\"nanos\":{},\"tid\":{},\"event\":\"{}\"",
-            self.seq,
-            self.nanos,
-            self.tid,
-            self.kind.name()
+            self.seq, self.nanos, self.tid, NAMES[k]
         );
-        for (key, value) in self.kind.fields() {
+        for (&(key, _), value) in FIELDS[k].iter().zip(values) {
             let _ = write!(s, ",\"{key}\":{value}");
         }
         s.push('}');
@@ -378,162 +354,34 @@ impl EventRecord {
     /// Returns a description of the first malformed construct.
     pub fn from_json(line: &str) -> Result<EventRecord, String> {
         let pairs = parse_flat_object(line)?;
-        let num = |key: &str| -> Result<u64, String> {
+        let value = |key: &str| {
             pairs
                 .iter()
                 .find(|(k, _)| k == key)
-                .ok_or_else(|| format!("missing field `{key}` in event: {line}"))?
-                .1
+                .map(|(_, v)| v.as_str())
+                .ok_or_else(|| format!("missing field `{key}` in event: {line}"))
+        };
+        let num = |key: &str| -> Result<u64, String> {
+            value(key)?
                 .parse::<u64>()
                 .map_err(|_| format!("field `{key}` is not an integer in event: {line}"))
         };
-        let num32 = |key: &str| -> Result<u32, String> {
-            u32::try_from(num(key)?).map_err(|_| format!("field `{key}` overflows u32"))
-        };
-        let name = pairs
+        let name = value("event")?;
+        let k = NAMES
             .iter()
-            .find(|(k, _)| k == "event")
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| format!("missing field `event` in: {line}"))?;
-        let kind = match name.as_str() {
-            "trap" => EventKind::Trap {
-                site: num32("site")?,
-                caller: num32("caller")?,
-                callee: num32("callee")?,
-            },
-            "site_patched" => EventKind::SitePatched {
-                site: num32("site")?,
-                targets: num32("targets")?,
-            },
-            "edge_discovered" => EventKind::EdgeDiscovered {
-                site: num32("site")?,
-                caller: num32("caller")?,
-                callee: num32("callee")?,
-            },
-            "reencode_begin" => EventKind::ReencodeBegin {
-                generation: num32("generation")?,
-            },
-            "reencode_end" => EventKind::ReencodeEnd {
-                generation: num32("generation")?,
-                applied: num("applied")? != 0,
-                cost: num("cost")?,
-                nodes: num32("nodes")?,
-                edges: num32("edges")?,
-                max_id: num("max_id")?,
-            },
-            "cc_push" => EventKind::CcPush {
-                depth: num32("depth")?,
-            },
-            "cc_pop" => EventKind::CcPop {
-                depth: num32("depth")?,
-            },
-            "cc_overflow" => EventKind::CcOverflow {
-                depth: num32("depth")?,
-            },
-            "migration" => EventKind::Migration {
-                from: num32("from")?,
-                to: num32("to")?,
-            },
-            "warm_seed" => EventKind::WarmSeed {
-                seeded: num32("seeded")?,
-                pruned: num32("pruned")?,
-                max_id: num("max_id")?,
-            },
-            "sample" => EventKind::Sample {
-                generation: num32("generation")?,
-                id: num("id")?,
-                site: num32("site")?,
-                leaf: num32("leaf")?,
-                root: num32("root")?,
-                fingerprint: num32("fingerprint")?,
-                weight: num32("weight")?,
-                depth: num32("depth")?,
-            },
-            other => return Err(format!("unknown event kind `{other}`")),
-        };
+            .position(|n| *n == name)
+            .ok_or_else(|| format!("unknown event kind `{name}`"))?;
+        let values = FIELDS[k]
+            .iter()
+            .map(|&(key, _)| num(key))
+            .collect::<Result<Vec<u64>, String>>()?;
+        let kind = EventKind::from_values(k, &values)?;
         Ok(EventRecord {
             seq: num("seq")?,
             nanos: num("nanos")?,
-            tid: num32("tid")?,
+            tid: narrow("tid", num("tid")?)?,
             kind,
         })
-    }
-}
-
-impl EventKind {
-    /// Payload fields as `(name, value)` pairs for JSON rendering.
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        match *self {
-            EventKind::Trap {
-                site,
-                caller,
-                callee,
-            }
-            | EventKind::EdgeDiscovered {
-                site,
-                caller,
-                callee,
-            } => vec![
-                ("site", u64::from(site)),
-                ("caller", u64::from(caller)),
-                ("callee", u64::from(callee)),
-            ],
-            EventKind::SitePatched { site, targets } => {
-                vec![("site", u64::from(site)), ("targets", u64::from(targets))]
-            }
-            EventKind::ReencodeBegin { generation } => {
-                vec![("generation", u64::from(generation))]
-            }
-            EventKind::ReencodeEnd {
-                generation,
-                applied,
-                cost,
-                nodes,
-                edges,
-                max_id,
-            } => vec![
-                ("generation", u64::from(generation)),
-                ("applied", u64::from(applied)),
-                ("cost", cost),
-                ("nodes", u64::from(nodes)),
-                ("edges", u64::from(edges)),
-                ("max_id", max_id),
-            ],
-            EventKind::CcPush { depth }
-            | EventKind::CcPop { depth }
-            | EventKind::CcOverflow { depth } => vec![("depth", u64::from(depth))],
-            EventKind::Migration { from, to } => {
-                vec![("from", u64::from(from)), ("to", u64::from(to))]
-            }
-            EventKind::WarmSeed {
-                seeded,
-                pruned,
-                max_id,
-            } => vec![
-                ("seeded", u64::from(seeded)),
-                ("pruned", u64::from(pruned)),
-                ("max_id", max_id),
-            ],
-            EventKind::Sample {
-                generation,
-                id,
-                site,
-                leaf,
-                root,
-                fingerprint,
-                weight,
-                depth,
-            } => vec![
-                ("generation", u64::from(generation)),
-                ("id", id),
-                ("site", u64::from(site)),
-                ("leaf", u64::from(leaf)),
-                ("root", u64::from(root)),
-                ("fingerprint", u64::from(fingerprint)),
-                ("weight", u64::from(weight)),
-                ("depth", u64::from(depth)),
-            ],
-        }
     }
 }
 
@@ -740,6 +588,59 @@ mod tests {
             }
             other => panic!("wrong kind: {other:?}"),
         }
+    }
+
+    /// Pins the JSON export format byte for byte: one record of every
+    /// kind, plus a `Sample` whose weight and depth saturated in the ring.
+    #[test]
+    fn json_format_is_stable() {
+        let mut kinds = sample_kinds();
+        let wide = EventRecord {
+            seq: 0,
+            nanos: 0,
+            tid: 0,
+            kind: EventKind::Sample {
+                generation: 2,
+                id: 77,
+                site: 5,
+                leaf: 6,
+                root: 1,
+                fingerprint: 0xabcd,
+                weight: 70_000,
+                depth: 1 << 20,
+            },
+        };
+        kinds.push(
+            EventRecord::from_words(wide.to_words())
+                .expect("decodable")
+                .kind,
+        );
+        let records: Vec<EventRecord> = kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| EventRecord {
+                seq: i as u64,
+                nanos: 100 * i as u64,
+                tid: if i % 2 == 0 { u32::MAX } else { 3 },
+                kind,
+            })
+            .collect();
+        let golden = r#"[
+{"seq":0,"nanos":0,"tid":4294967295,"event":"trap","site":7,"caller":1,"callee":2},
+{"seq":1,"nanos":100,"tid":3,"event":"site_patched","site":7,"targets":3},
+{"seq":2,"nanos":200,"tid":4294967295,"event":"edge_discovered","site":7,"caller":1,"callee":2},
+{"seq":3,"nanos":300,"tid":3,"event":"reencode_begin","generation":4},
+{"seq":4,"nanos":400,"tid":4294967295,"event":"reencode_end","generation":5,"applied":1,"cost":1234,"nodes":10,"edges":22,"max_id":99},
+{"seq":5,"nanos":500,"tid":3,"event":"reencode_end","generation":5,"applied":0,"cost":50,"nodes":0,"edges":0,"max_id":0},
+{"seq":6,"nanos":600,"tid":4294967295,"event":"cc_push","depth":3},
+{"seq":7,"nanos":700,"tid":3,"event":"cc_pop","depth":2},
+{"seq":8,"nanos":800,"tid":4294967295,"event":"cc_overflow","depth":64},
+{"seq":9,"nanos":900,"tid":3,"event":"migration","from":2,"to":5},
+{"seq":10,"nanos":1000,"tid":4294967295,"event":"warm_seed","seeded":40,"pruned":2,"max_id":500},
+{"seq":11,"nanos":1100,"tid":3,"event":"sample","generation":3,"id":244837814094590,"site":12,"leaf":4,"root":0,"fingerprint":2654435769,"weight":509,"depth":17},
+{"seq":12,"nanos":1200,"tid":4294967295,"event":"sample","generation":2,"id":77,"site":5,"leaf":6,"root":1,"fingerprint":43981,"weight":65535,"depth":65535}
+]"#;
+        assert_eq!(events_to_json(&records), golden);
     }
 
     #[test]

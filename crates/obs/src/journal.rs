@@ -20,15 +20,12 @@ use crate::ring::EventRing;
 pub struct JournalConfig {
     /// Slots per writer ring (rounded up to a power of two, min 8).
     pub ring_capacity: usize,
-    /// ccStack depth at which new high-water marks emit `CcOverflow`.
-    pub overflow_watermark: u32,
 }
 
 impl Default for JournalConfig {
     fn default() -> JournalConfig {
         JournalConfig {
             ring_capacity: 4096,
-            overflow_watermark: 48,
         }
     }
 }
@@ -203,13 +200,6 @@ impl JournalWriter {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.journal.enabled()
-    }
-
-    /// The ccStack depth at which new high-water marks should emit
-    /// `CcOverflow`.
-    #[must_use]
-    pub fn overflow_watermark(&self) -> u32 {
-        self.journal.config.overflow_watermark
     }
 
     /// The thread id stamped on this writer's records.
@@ -409,10 +399,7 @@ mod tests {
 
     #[test]
     fn drops_are_attributed_to_the_overflowing_thread() {
-        let journal = Arc::new(Journal::new(JournalConfig {
-            ring_capacity: 8,
-            ..JournalConfig::default()
-        }));
+        let journal = Arc::new(Journal::new(JournalConfig { ring_capacity: 8 }));
         journal.set_enabled(true);
         let quiet = journal.writer(1);
         let noisy = journal.writer(2);
@@ -460,7 +447,6 @@ mod tests {
     fn replay_matches_emitted_counts() {
         let journal = Arc::new(Journal::new(JournalConfig {
             ring_capacity: 1 << 14,
-            ..JournalConfig::default()
         }));
         journal.set_enabled(true);
         let writer = journal.writer(0);

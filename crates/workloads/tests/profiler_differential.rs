@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 
+use dacce::config::{PROFILER_BUDGET, PROFILER_SEED};
 use dacce::tracker::Tracker;
 use dacce::DacceConfig;
 use dacce_callgraph::{CallSiteId, FunctionId};
@@ -65,8 +66,8 @@ fn replay_with_shadow(
         let th = &handles[&tid];
         let mut sampler = Sampler::new(
             config.profiler_stride,
-            config.profiler_seed ^ u64::from(th.id().raw()),
-            config.profiler_budget,
+            PROFILER_SEED ^ u64::from(th.id().raw()),
+            PROFILER_BUDGET,
         );
 
         let mut guards = Vec::new();

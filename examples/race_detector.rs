@@ -40,12 +40,12 @@ fn main() {
     let log: Mutex<Vec<Access>> = Mutex::new(Vec::new());
     let main_thread = tracker.register_thread(f_main);
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..3usize {
             let tracker = &tracker;
             let log = &log;
             let main_thread = &main_thread;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let th = tracker.register_spawned_thread(f_worker, main_thread, s_spawn);
                 for i in 0..40usize {
                     // Each worker updates its own counter slot (no race)...
@@ -72,8 +72,7 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("workers run");
+    });
 
     // Offline analysis: group by address, report cross-thread write
     // conflicts with decoded contexts.

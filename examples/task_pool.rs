@@ -60,12 +60,12 @@ fn main() {
     }
 
     // Executors: adopt each task's origin context while running it.
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..2 {
             let tracker = &tracker;
             let queue = &queue;
             let main_th = &main_th;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let th = tracker.register_spawned_thread(f_executor, main_th, s_spawn);
                 loop {
                     let Some(task) = queue.lock().unwrap().pop_front() else {
@@ -82,6 +82,5 @@ fn main() {
                 }
             });
         }
-    })
-    .expect("executors finish");
+    });
 }

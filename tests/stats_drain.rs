@@ -14,11 +14,11 @@ const ITERS: usize = 2_000;
 fn run_workers(tracker: &Tracker, main_fn: FunctionId, sites: &[CallSiteId], fns: &[FunctionId]) {
     let stop = AtomicBool::new(false);
     let drained = AtomicBool::new(false);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..THREADS {
             let tr = tracker.clone();
             let (sites, fns) = (sites.to_vec(), fns.to_vec());
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let th = tr.register_thread(main_fn);
                 for i in 0..ITERS {
                     let k = (i + t) % sites.len();
@@ -33,7 +33,7 @@ fn run_workers(tracker: &Tracker, main_fn: FunctionId, sites: &[CallSiteId], fns
         // observation must be internally consistent and monotone.
         let (stop, drained) = (&stop, &drained);
         let tr = tracker.clone();
-        let drainer = scope.spawn(move |_| {
+        let drainer = scope.spawn(move || {
             let mut last_calls = 0u64;
             let mut drains = 0u64;
             while !stop.load(Ordering::Relaxed) {
@@ -59,8 +59,7 @@ fn run_workers(tracker: &Tracker, main_fn: FunctionId, sites: &[CallSiteId], fns
         stop.store(true, Ordering::Relaxed);
         let drains = drainer.join().unwrap();
         assert!(drains > 0);
-    })
-    .unwrap();
+    });
 }
 
 #[test]
@@ -101,12 +100,12 @@ fn concurrent_journal_drains_never_duplicate_events() {
     let sites: Vec<CallSiteId> = (0..4).map(|_| tracker.define_call_site()).collect();
 
     let mut seen: Vec<u64> = Vec::new();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut workers = Vec::new();
         for t in 0..THREADS {
             let tr = tracker.clone();
             let (sites, fns) = (sites.clone(), fns.clone());
-            workers.push(scope.spawn(move |_| {
+            workers.push(scope.spawn(move || {
                 let th = tr.register_thread(main_fn);
                 for i in 0..ITERS {
                     let k = (i + t) % sites.len();
@@ -122,8 +121,7 @@ fn concurrent_journal_drains_never_duplicate_events() {
         for w in workers {
             w.join().unwrap();
         }
-    })
-    .unwrap();
+    });
     seen.extend(obs.drain_journal().events.iter().map(|e| e.seq));
 
     // Every drained record is distinct — overlapping drains never hand the

@@ -30,12 +30,12 @@ fn concurrent_threads_decode_their_own_contexts() {
 
     let main_th = tracker.register_thread(f_main);
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (w, sites) in sites_per_worker.iter().enumerate() {
             let tracker = &tracker;
             let main_th = &main_th;
             let depth_fns = &depth_fns;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let th = tracker.register_spawned_thread(f_worker, main_th, spawn_site);
                 for round in 0..200usize {
                     let depth = 1 + (round * 7 + w) % 6;
@@ -64,8 +64,7 @@ fn concurrent_threads_decode_their_own_contexts() {
                 }
             });
         }
-    })
-    .expect("threads complete");
+    });
 
     tracker
         .check_invariants()
